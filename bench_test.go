@@ -242,7 +242,7 @@ func BenchmarkAblationNoSimplify(b *testing.B) {
 	opts := solver.DefaultOptions()
 	res := solver.Infer(benchCorpus, lat, nil, opts)
 	for _, pr := range res.Procs {
-		cs.InsertAll(pr.Constraints)
+		cs.InsertAll(pr.Constraints())
 	}
 	b.Run("per-SCC-schemes", func(b *testing.B) {
 		o := solver.DefaultOptions()

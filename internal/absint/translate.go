@@ -3,6 +3,7 @@ package absint
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"retypd/internal/constraints"
 )
@@ -100,6 +101,12 @@ func (r *Renamer) Valid() bool { return r.valid }
 // returned unchanged with ok == true: they appear identically in the
 // target procedure's vocabulary.
 func (r *Renamer) Rename(v constraints.Var) (constraints.Var, bool) {
+	return r.rename(v, true)
+}
+
+// rename is Rename; with build false it only classifies v and returns
+// it unchanged, allocating nothing.
+func (r *Renamer) rename(v constraints.Var, build bool) (constraints.Var, bool) {
 	s := string(v)
 	if s == r.from {
 		return constraints.Var(r.to), true
@@ -107,6 +114,9 @@ func (r *Renamer) Rename(v constraints.Var) (constraints.Var, bool) {
 	if strings.HasPrefix(s, r.fromBang) {
 		// A procedure-local variable: swap the name prefix. (This case
 		// must run before the tag case — defVar names contain '@' too.)
+		if !build {
+			return v, true
+		}
 		return constraints.Var(r.to + s[len(r.from):]), true
 	}
 	if i := strings.IndexByte(s, '@'); i >= 0 {
@@ -132,6 +142,9 @@ func (r *Renamer) Rename(v constraints.Var) (constraints.Var, bool) {
 			// this is the same defense-in-depth as canonicalize's
 			// foreign-variable check on the scheme cache.)
 			return v, false
+		}
+		if !build {
+			return v, true
 		}
 		//retypd:name-ok rename surgery reassembles grammar-conformant pieces of an existing name
 		return constraints.Var(head + "@" + r.toBang + idxStr), true
@@ -167,6 +180,51 @@ func (r *Renamer) Apply(cs *constraints.Set) (*constraints.Set, bool) {
 		return nil, false
 	}
 	return out, true
+}
+
+// Defer vets cs for translation without running it: it returns nil
+// when Apply(cs) would fail, and otherwise a Deferred that runs Apply
+// on its first read. Vetting classifies every base of cs, allocating
+// and interning nothing, so the translated names reach the
+// process-wide intern table only if someone reads the set.
+func (r *Renamer) Defer(cs *constraints.Set) *Deferred {
+	if !r.valid {
+		return nil
+	}
+	for _, c := range cs.Constraints() {
+		for _, d := range [...]constraints.DTV{c.L, c.R, c.X, c.Y, c.Z} {
+			if d.BaseSym() == 0 {
+				continue // an operand this constraint kind does not use
+			}
+			if _, ok := r.rename(d.Base(), false); !ok {
+				return nil
+			}
+		}
+	}
+	// isProc only ever refuses, and every base of cs passed it, so the
+	// deferred Apply can run without it — and without retaining the
+	// program state it reads.
+	vetted := *r
+	vetted.isProc = nil
+	return &Deferred{src: cs, r: &vetted}
+}
+
+// Deferred is a translation Defer has vetted but not yet run. Set runs
+// it once and hands every caller, on any goroutine, the same set.
+type Deferred struct {
+	once sync.Once
+	src  *constraints.Set
+	r    *Renamer
+	out  *constraints.Set
+}
+
+// Set returns the translated set, translating it on the first call.
+func (d *Deferred) Set() *constraints.Set {
+	d.once.Do(func() {
+		d.out, _ = d.r.Apply(d.src)
+		d.src, d.r = nil, nil
+	})
+	return d.out
 }
 
 // TranslateScheme derives the body-equivalent procedure's type scheme

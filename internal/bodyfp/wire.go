@@ -55,15 +55,24 @@ func DecodeFPWire(data []byte) (*FP, int, error) {
 		return nil, 0, fmt.Errorf("bodyfp: truncated register list in wire form")
 	}
 	n += m
-	for i := uint64(0); i < nregs; i++ {
-		fp.regs = append(fp.regs, asm.Reg(data[n]))
-		n++
+	if nregs > 0 {
+		fp.regs = make([]asm.Reg, nregs)
+		for i := range fp.regs {
+			fp.regs[i] = asm.Reg(data[n])
+			n++
+		}
 	}
 	ncalls, m := binary.Uvarint(data[n:])
 	if m <= 0 {
 		return nil, 0, fmt.Errorf("bodyfp: truncated call list in wire form")
 	}
 	n += m
+	if ncalls > uint64(len(data)-n) {
+		return nil, 0, fmt.Errorf("bodyfp: call count %d exceeds wire form size", ncalls)
+	}
+	if ncalls > 0 {
+		fp.calls = make([]Call, 0, ncalls)
+	}
 	for i := uint64(0); i < ncalls; i++ {
 		inst, m := binary.Uvarint(data[n:])
 		if m <= 0 {

@@ -10,6 +10,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"retypd/internal/asm"
@@ -447,11 +448,12 @@ func (pi *ProcInfo) findFormals() {
 	entryLive := entryLiveRegs(insts, pi.Blocks)
 	pi.EntryLive = entryLive
 
-	// Stack parameter slots: positive-offset slot reads.
-	paramSlots := map[int32]bool{}
+	// Stack parameter slots: positive-offset slot reads. Only the
+	// highest one matters — the argument area below it is filled in.
+	var maxSlot int32
 	noteRead := func(idx int, m asm.Operand) {
-		if off, ok := pi.SlotOf(idx, m); ok && off >= 4 {
-			paramSlots[off] = true
+		if off, ok := pi.SlotOf(idx, m); ok && off >= 4 && off > maxSlot {
+			maxSlot = off
 		}
 	}
 	for i, in := range insts {
@@ -470,21 +472,9 @@ func (pi *ProcInfo) findFormals() {
 	// pass are handled by the constraint generator, not listed as
 	// formals unless also read.
 
-	var slots []int32
-	for off := range paramSlots {
-		slots = append(slots, off)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 	// Fill gaps so the argument area is contiguous: a callee that reads
 	// stack0 and stack8 still has three parameters.
-	if len(slots) > 0 {
-		max := slots[len(slots)-1]
-		slots = slots[:0]
-		for off := int32(4); off <= max; off += 4 {
-			slots = append(slots, off)
-		}
-	}
-	for _, off := range slots {
+	for off := int32(4); off <= maxSlot; off += 4 {
 		pi.FormalIns = append(pi.FormalIns, SlotLoc(off))
 	}
 	for r := asm.EAX; r < 6; r++ {
@@ -592,7 +582,7 @@ func (pi *ProcInfo) reachingDefs() {
 			}
 		}
 		if changed {
-			sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
+			slices.Sort(cur)
 			dst[l] = cur
 		}
 		return changed
@@ -613,7 +603,8 @@ func (pi *ProcInfo) reachingDefs() {
 			}
 		}
 		for l, d := range gen[b] {
-			mergeInto(out, l, []DefID{d})
+			one := [1]DefID{d}
+			mergeInto(out, l, one[:])
 		}
 		for _, s := range pi.Blocks[b].Succs {
 			if pi.reachIn[s] == nil {
@@ -656,8 +647,13 @@ func (pi *ProcInfo) WalkDefs(f func(idx int, reach map[Loc][]DefID)) {
 // (diagnostics).
 func (pi *ProcInfo) ReachEntry(b int) map[Loc][]DefID { return pi.reachIn[b] }
 
-// findHasOut checks whether a definition of eax reaches some ret.
+// findHasOut checks whether a definition of eax reaches some ret. Only
+// eax matters, so a ret block is not replayed: a non-entry definition
+// reaches its ret iff the block defines eax before the ret (that
+// instruction's definition is the one reaching it) or, failing that,
+// one reaches the block's entry.
 func (pi *ProcInfo) findHasOut() {
+	var rbuf [4]asm.Reg
 	for b := range pi.Blocks {
 		blk := pi.Blocks[b]
 		if blk.End == blk.Start {
@@ -666,20 +662,15 @@ func (pi *ProcInfo) findHasOut() {
 		if pi.Proc.Insts[blk.End-1].Op != asm.RET {
 			continue
 		}
-		// Replay the block to the ret.
-		state := map[Loc][]DefID{}
-		if pi.reachIn[b] != nil {
-			for l, ds := range pi.reachIn[b] {
-				state[l] = ds
-			}
-		}
-		var lbuf [4]Loc
 		for i := blk.Start; i < blk.End-1; i++ {
-			for _, l := range pi.AppendDefsOf(lbuf[:0], i) {
-				state[l] = []DefID{DefID(i)}
+			for _, r := range instRegDefs(rbuf[:0], pi.Proc.Insts[i]) {
+				if r == asm.EAX {
+					pi.HasOut = true
+					return
+				}
 			}
 		}
-		for _, d := range state[RegLoc(asm.EAX)] {
+		for _, d := range pi.reachIn[b][RegLoc(asm.EAX)] {
 			if !d.IsEntry() {
 				pi.HasOut = true
 				return
@@ -709,8 +700,8 @@ type CallGraph struct {
 func BuildCallGraph(prog *asm.Program) *CallGraph {
 	cg := &CallGraph{
 		Prog:      prog,
-		Callees:   map[string][]string{},
-		Externals: map[string][]string{},
+		Callees:   make(map[string][]string, len(prog.Procs)),
+		Externals: make(map[string][]string, len(prog.Procs)),
 	}
 	// Distinct-callee lists are short, so dedup by linear scan — two
 	// per-procedure maps here dominated the whole build's allocations.
@@ -753,21 +744,53 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 		}
 	}
 
-	// Tarjan SCC.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
+	// Tarjan SCC, over dense procedure ids so the search itself touches
+	// no maps (ids follow first appearance in prog.Procs, then in the
+	// callee lists; the visit order is the same as over names).
+	ids := make(map[string]int, len(prog.Procs))
+	var names []string
+	id := func(s string) int {
+		i, ok := ids[s]
+		if !ok {
+			i = len(names)
+			ids[s] = i
+			names = append(names, s)
+		}
+		return i
+	}
+	for _, p := range prog.Procs {
+		id(p.Name)
+	}
+	for _, p := range prog.Procs {
+		for _, c := range cg.Callees[p.Name] {
+			id(c)
+		}
+	}
+	succ := make([][]int, len(names))
+	for i, name := range names {
+		for _, c := range cg.Callees[name] {
+			succ[i] = append(succ[i], ids[c])
+		}
+	}
+	index := make([]int, len(names))
+	for i := range index {
+		index[i] = -1
+	}
+	low := make([]int, len(names))
+	onStack := make([]bool, len(names))
+	var stack []int
+	// Every SCC is a capacity-capped window of one backing array.
+	members := make([]string, 0, len(names))
 	counter := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
+	var strongconnect func(v int)
+	strongconnect = func(v int) {
 		index[v] = counter
 		low[v] = counter
 		counter++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range cg.Callees[v] {
-			if _, seen := index[w]; !seen {
+		for _, w := range succ[v] {
+			if index[w] < 0 {
 				strongconnect(w)
 				if low[w] < low[v] {
 					low[v] = low[w]
@@ -777,23 +800,24 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 			}
 		}
 		if low[v] == index[v] {
-			var scc []string
+			start := len(members)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				scc = append(scc, w)
+				members = append(members, names[w])
 				if w == v {
 					break
 				}
 			}
+			scc := members[start:len(members):len(members)]
 			sort.Strings(scc)
 			cg.SCCs = append(cg.SCCs, scc)
 		}
 	}
 	for _, p := range prog.Procs {
-		if _, seen := index[p.Name]; !seen {
-			strongconnect(p.Name)
+		if v := ids[p.Name]; index[v] < 0 {
+			strongconnect(v)
 		}
 	}
 	return cg

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"testing"
 
 	"retypd/internal/asm"
@@ -138,6 +139,72 @@ endproc
 `)
 	if pi.HasOut {
 		t.Error("g does not return a value")
+	}
+}
+
+// TestHasOutAcrossBlocks: an eax definition counts when it reaches a
+// ret through other blocks, and not when only an unreachable block or a
+// block off every path to the ret defines eax.
+func TestHasOutAcrossBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      bool
+	}{
+		{"defined-before-branch", `
+proc f
+    mov eax, [esp+4]
+    test eax, eax
+    jz out
+    mov ecx, eax
+out:
+    ret
+endproc
+`, true},
+		{"defined-in-loop-body", `
+proc f
+    mov ecx, [esp+4]
+    jmp head
+body:
+    mov eax, ecx
+head:
+    test ecx, ecx
+    jnz body
+    ret
+endproc
+`, true},
+		{"unreachable-definition", `
+proc f
+    mov ecx, [esp+4]
+    jmp out
+dead:
+    mov eax, ecx
+out:
+    ret
+endproc
+`, false},
+	} {
+		if got := analyze(t, tc.src).HasOut; got != tc.want {
+			t.Errorf("%s: HasOut = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestStackFormalsFillGaps: the argument area below the highest stack
+// parameter read is contiguous.
+func TestStackFormalsFillGaps(t *testing.T) {
+	pi := analyze(t, `
+proc f
+    mov eax, [esp+4]
+    add eax, [esp+12]
+    ret
+endproc
+`)
+	var got []string
+	for _, l := range pi.FormalIns {
+		got = append(got, l.ParamName())
+	}
+	if want := "[stack0 stack4 stack8]"; fmt.Sprint(got) != want {
+		t.Errorf("formals = %v, want %s", got, want)
 	}
 }
 

@@ -312,6 +312,13 @@ func (l *Lattice) Elem(name string) (Elem, bool) {
 	return e, ok
 }
 
+// ElemBytes is Elem for a name held as bytes (wire decoders), without
+// materializing a string.
+func (l *Lattice) ElemBytes(name []byte) (Elem, bool) {
+	e, ok := l.index[string(name)]
+	return e, ok
+}
+
 // ElemSym is Elem for an already-interned name: the constant test used
 // by the solver's hot paths, with no string materialization.
 func (l *Lattice) ElemSym(y intern.Sym) (Elem, bool) {

@@ -29,12 +29,15 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-func decodeString(data []byte, what string) (string, int, error) {
+// decodeBytes returns the length-prefixed byte string at the front of
+// data (aliasing data) and the bytes consumed. Decoders only look the
+// bytes up (lattice signature, element names), so nothing is copied.
+func decodeBytes(data []byte, what string) ([]byte, int, error) {
 	ln, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) < ln {
-		return "", 0, fmt.Errorf("sketch: truncated %s in wire form", what)
+		return nil, 0, fmt.Errorf("sketch: truncated %s in wire form", what)
 	}
-	return string(data[n : n+int(ln)]), n + int(ln), nil
+	return data[n : n+int(ln)], n + int(ln), nil
 }
 
 // AppendWire appends s's canonical wire form to buf. The receiver is
@@ -76,11 +79,11 @@ func (s *Sketch) AppendWire(buf []byte) []byte {
 // ErrUnknownLattice (wrapped) when the encoded lattice signature has no
 // built lattice here.
 func DecodeSketchWire(data []byte) (*Sketch, int, error) {
-	sig, n, err := decodeString(data, "lattice signature")
+	sig, n, err := decodeBytes(data, "lattice signature")
 	if err != nil {
 		return nil, 0, err
 	}
-	lat, ok := lattice.BySignature(sig)
+	lat, ok := lattice.BySignature(string(sig))
 	if !ok {
 		return nil, 0, fmt.Errorf("%w (signature %.16s…)", ErrUnknownLattice, sig)
 	}
@@ -99,8 +102,8 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 	if nstates > uint64(len(data)-n) {
 		return nil, 0, fmt.Errorf("sketch: state count %d exceeds wire form size", nstates)
 	}
-	elem := func(name string) (lattice.Elem, error) {
-		e, ok := lat.Elem(name)
+	elem := func(name []byte) (lattice.Elem, error) {
+		e, ok := lat.ElemBytes(name)
 		if !ok {
 			return 0, fmt.Errorf("sketch: wire form references unknown lattice element %q", name)
 		}
@@ -117,7 +120,7 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 		st.Variance = meta&1 != 0
 		st.Flags = Flags(meta >> 1)
 		for _, dst := range []*lattice.Elem{&st.Lower, &st.Upper} {
-			name, m, err := decodeString(data[n:], "lattice element")
+			name, m, err := decodeBytes(data[n:], "lattice element")
 			if err != nil {
 				return nil, 0, err
 			}
@@ -132,8 +135,14 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 				return nil, 0, fmt.Errorf("sketch: truncated bound set in wire form")
 			}
 			n += m
+			if count > uint64(len(data)-n) {
+				return nil, 0, fmt.Errorf("sketch: bound set size %d exceeds wire form size", count)
+			}
+			if count > 0 {
+				*set = make([]lattice.Elem, 0, count)
+			}
 			for j := uint64(0); j < count; j++ {
-				name, m, err := decodeString(data[n:], "bound element")
+				name, m, err := decodeBytes(data[n:], "bound element")
 				if err != nil {
 					return nil, 0, err
 				}
@@ -150,6 +159,12 @@ func DecodeSketchWire(data []byte) (*Sketch, int, error) {
 			return nil, 0, fmt.Errorf("sketch: truncated edge count in wire form")
 		}
 		n += m
+		if nedges > uint64(len(data)-n) {
+			return nil, 0, fmt.Errorf("sketch: edge count %d exceeds wire form size", nedges)
+		}
+		if nedges > 0 {
+			st.Edges = make([]Edge, 0, nedges)
+		}
 		for j := uint64(0); j < nedges; j++ {
 			l, m, err := label.DecodeWire(data[n:])
 			if err != nil {

@@ -66,7 +66,7 @@ endproc
 	mono := Infer(prog, lat, nil, opts)
 	global := constraints.NewSet()
 	for _, pr := range mono.Procs {
-		global.InsertAll(pr.Constraints)
+		global.InsertAll(pr.Constraints())
 	}
 	shapes := sketch.NewBuilder(global, lat)
 	skOut := shapes.SketchFor("xalloc", -1)
@@ -86,7 +86,7 @@ endproc
 	// callers' fields.
 	polyGlobal := constraints.NewSet()
 	for _, pr := range poly.Procs {
-		polyGlobal.InsertAll(pr.Constraints)
+		polyGlobal.InsertAll(pr.Constraints())
 	}
 	shapes2 := sketch.NewBuilder(polyGlobal, lat)
 	skOut2 := shapes2.SketchFor("xalloc", -1)
@@ -137,7 +137,7 @@ endproc
 	opts := DefaultOptions()
 	opts.Absint = absint.Options{NoConstantSuppression: true}
 	res2 := Infer(prog, lat, nil, opts)
-	text := res2.Procs["caller"].Constraints.String()
+	text := res2.Procs["caller"].Constraints().String()
 	if !contains(text, "caller!zero") {
 		t.Errorf("ablation should emit the shared zero variable:\n%s", text)
 	}

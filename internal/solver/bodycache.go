@@ -198,6 +198,19 @@ func sumsDigest(sums summaries.Table) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// sessionSumsDigest is sumsDigest for an engine's session check and
+// record, where a nil table stands for the stock one
+// (summaries.Default, read-only by contract) whose digest is rendered
+// once per process.
+func sessionSumsDigest(sums summaries.Table) string {
+	if sums == nil {
+		return stockSumsDigest()
+	}
+	return sumsDigest(sums)
+}
+
+var stockSumsDigest = sync.OnceValue(func() string { return sumsDigest(summaries.Default()) })
+
 // runCtxSig folds everything beyond constraint generation that a
 // persistent body entry depends on into one digest for
 // bodyfp.Config.CtxSig: the summaries table (externals reach generated

@@ -338,12 +338,30 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 	}
 }
 
+// keepMemberRaw gives a served member its raw constraint set under
+// KeepIntermediates. When the rename surgery classifies every base of
+// src, the translation is deferred to the set's first read
+// (ProcResult.Constraints): no op output needs it, and running it here
+// would intern every member-local name into the process-wide table.
+// Otherwise the member regenerates its set eagerly — sound because its
+// F.1 was ordered after its callee SCCs like any other procedure's.
+func (pl *pipeline) keepMemberRaw(pr *ProcResult, plan *memberPlan, src *constraints.Set) {
+	if !pl.opts.KeepIntermediates {
+		return
+	}
+	if d := plan.ren.Defer(src); d != nil {
+		pr.rawDeferred = d
+		return
+	}
+	pr.raw = absint.Generate(pl.infos[pr.Name], pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
+}
+
 // translateProc derives a member's phase-2 result from its in-program
 // representative's: the sketch is shared (sealed — sketches mention no
 // variable names, so the representative's solution IS the member's),
 // callsite-actual observations are re-keyed to the member's own callee
 // names, and under KeepIntermediates the raw constraint set is
-// translated (or regenerated, should the surgery ever fail).
+// translated on first read (see keepMemberRaw).
 func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult, repObs []actualObs) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	sk := repPR.Sketch
@@ -358,13 +376,7 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 		Sketch:         sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
-	if pl.opts.KeepIntermediates {
-		if cs, ok := plan.ren.Apply(pl.gens[pl.procIdx[plan.rep]].Constraints); ok {
-			pr.Constraints = cs
-		} else {
-			pr.Constraints = absint.Generate(pi, pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
-		}
-	}
+	pl.keepMemberRaw(pr, plan, pl.gens[pl.procIdx[plan.rep]].Constraints)
 	if len(repObs) == 0 {
 		return pr, nil
 	}
@@ -387,9 +399,8 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 // translateEntry derives a member's phase-2 result from a stored body
 // entry — the cross-program analogue of translateProc. The entry's
 // sketches are already sealed; under KeepIntermediates the publisher's
-// raw set (whose presence entryPlan verified) is translated, with the
-// same regenerate fallback (sound here because the member's F.1 was
-// ordered after its callee SCCs like any other procedure's).
+// raw set (whose presence entryPlan verified) is translated on first
+// read, like translateProc's.
 func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	e := plan.entry
@@ -401,13 +412,7 @@ func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []a
 		Sketch:         e.sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
-	if pl.opts.KeepIntermediates {
-		if cs, ok := plan.ren.Apply(e.raw); ok {
-			pr.Constraints = cs
-		} else {
-			pr.Constraints = absint.Generate(pi, pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
-		}
-	}
+	pl.keepMemberRaw(pr, plan, e.raw)
 	if len(e.obs) == 0 {
 		return pr, nil
 	}

@@ -111,7 +111,7 @@ func dumpAll(res *Result) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if cs := res.Procs[n].Constraints; cs != nil {
+		if cs := res.Procs[n].Constraints(); cs != nil {
 			b.WriteString(n + ":\n" + cs.String() + "\n")
 		}
 	}

@@ -81,7 +81,11 @@ func (e *Engine) DisableSessionRecording() {
 
 // session is the recorded outcome of the engine's most recent run: the
 // inputs that parameterized it and, per procedure, everything a clean
-// replay needs. Sessions are immutable once published. Every field must
+// replay needs. Sessions are immutable once published, with one
+// once-guarded exception: a body-dedup member's raw constraint set is
+// translated on its first read (ProcResult.Constraints), by whichever
+// reader — a caller, a replay sharing the snapshot, or SaveSessionTo —
+// gets there first, and is fixed from then on. Every field must
 // reach the persisted wire form (SaveSessionTo) — a session loaded in a
 // fresh process must replay exactly like the one that was saved.
 //
@@ -204,16 +208,13 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 			res, err = nil, &AnalysisError{SCC: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if sums == nil {
-		sums = summaries.Default()
-	}
 	opts = e.withEngineCaches(opts)
 	opts.ctx = ctx
 	res, art, err := infer(prog, lat, sums, opts, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, nil)
+	e.record(lat, sums, opts, res, art, nil, nil)
 	return res, nil
 }
 
@@ -244,15 +245,12 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 			res, err = nil, &AnalysisError{SCC: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if sums == nil {
-		sums = summaries.Default()
-	}
 	e.mu.Lock()
 	sess := e.sess
 	e.mu.Unlock()
 	if sess == nil || !sessionable(opts) ||
 		sess.latSig != lat.Signature() || !optsCompatible(sess.opts, opts) ||
-		sess.sumsDig != sumsDigest(sums) {
+		sess.sumsDig != sessionSumsDigest(sums) {
 		return e.InferContext(ctx, prog, lat, sums, opts)
 	}
 	if err := ctx.Err(); err != nil {
@@ -276,9 +274,11 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	// dominate Reanalyze on duplicate-heavy programs.
 	workers := conc.Limit(opts.Workers)
 	infoList := make([]*cfg.ProcInfo, len(prog.Procs))
+	snaps := make([]*procSnap, len(prog.Procs)) // nil: new procedure
 	rep := make([]int, len(prog.Procs))
 	bodyGroups := make(map[uint64][]int, len(prog.Procs))
 	for i, p := range prog.Procs {
+		snaps[i] = sess.procs[p.Name]
 		rep[i] = i
 		h := bodyHashOf(p)
 		for _, j := range bodyGroups[h] {
@@ -291,22 +291,39 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 			bodyGroups[h] = append(bodyGroups[h], i)
 		}
 	}
-	if err := conc.ForEachCtx(ctx, workers, len(prog.Procs), func(i int) {
+
+	// Each representative's portable body fingerprint is computed right
+	// after its analysis. A fingerprint is a function of the instruction
+	// stream alone (names enter only as call targets), so byte-identical
+	// bodies share their group's. The call graph, which needs only the
+	// program, is built by the same pool (item 0).
+	conf := sessionConfig(lat, opts)
+	order := prog.Procs
+	fps := make([]*bodyfp.FP, len(order))
+	var cg *cfg.CallGraph
+	if err := conc.ForEachCtx(ctx, workers, len(prog.Procs)+1, func(item int) {
+		if item == 0 {
+			cg = cfg.BuildCallGraph(prog)
+			return
+		}
+		i := item - 1
 		if rep[i] != i {
 			return
 		}
 		p := prog.Procs[i]
-		if snap, ok := sess.procs[p.Name]; ok && snap.info != nil && snap.info.Proc.EqualBody(p) {
+		if snap := snaps[i]; snap != nil && snap.info != nil && snap.info.Proc.EqualBody(p) {
 			infoList[i] = snap.info.CloneForProgram(prog, p)
 		} else {
 			infoList[i] = cfg.Analyze(prog, p)
 		}
+		fps[i] = bodyfp.ComputeWithLiveMask(p, conf, namedCallee, infoList[i].EntryLive)
 	}); err != nil {
 		return nil, err
 	}
 	for i, p := range prog.Procs {
 		if rep[i] != i {
 			infoList[i] = infoList[rep[i]].CloneForProgram(prog, p)
+			fps[i] = fps[rep[i]]
 		}
 	}
 	infos := make(map[string]*cfg.ProcInfo, len(prog.Procs))
@@ -314,17 +331,6 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 		infos[p.Name] = infoList[i]
 	}
 	cfg.FinishHasOut(infos)
-	cg := cfg.BuildCallGraph(prog)
-
-	// Portable body fingerprints of the new program.
-	conf := sessionConfig(lat, opts)
-	order := prog.Procs
-	fps := make([]*bodyfp.FP, len(order))
-	if err := conc.ForEachCtx(ctx, workers, len(order), func(i int) {
-		fps[i] = bodyfp.ComputeWithLiveMask(order[i], conf, namedCallee, infoList[i].EntryLive)
-	}); err != nil {
-		return nil, err
-	}
 	fpOf := make(map[string]*bodyfp.FP, len(order))
 	for i, p := range order {
 		fpOf[p.Name] = fps[i]
@@ -337,10 +343,10 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	isProcNew := func(name string) bool { _, ok := infos[name]; return ok }
 	isProcOld := func(name string) bool { _, ok := sess.procs[name]; return ok }
 	dirty := make(map[string]bool, len(order))
-	for _, p := range order {
-		snap, ok := sess.procs[p.Name]
-		d := !ok || !snap.fp.EquivalentTo(fpOf[p.Name])
-		if !d && opts.KeepIntermediates && !snap.fp.SameRegisters(fpOf[p.Name]) {
+	for i, p := range order {
+		snap := snaps[i]
+		d := snap == nil || !snap.fp.EquivalentTo(fps[i])
+		if !d && opts.KeepIntermediates && !snap.fp.SameRegisters(fps[i]) {
 			// The fingerprint is canonical over scratch-register
 			// symmetry classes, but the raw kept constraint set embeds
 			// actual register names in its defVar suffixes — replaying
@@ -350,7 +356,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 			d = true
 		}
 		if !d {
-			for _, c := range fpOf[p.Name].Calls() {
+			for _, c := range fps[i].Calls() {
 				if isProcNew(c.Target) != isProcOld(c.Target) {
 					d = true
 					break
@@ -369,34 +375,24 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	// Propagate to ancestors over the condensed call graph: schemes flow
 	// callee→caller, so every SCC that can reach a dirty SCC must
 	// recompute. cg.SCCs is bottom-up (every call edge from SCC i lands
-	// in some SCC j < i), so one forward pass suffices.
-	sccOf := map[string]int{}
-	for i, scc := range cg.SCCs {
-		for _, p := range scc {
-			sccOf[p] = i
-		}
-	}
-	sccDirty := make([]bool, len(cg.SCCs))
-	for i, scc := range cg.SCCs {
+	// in some SCC j < i), so one forward pass suffices. A dirty SCC
+	// marks all its members, so by the time SCC i is visited a callee in
+	// another SCC is dirty exactly when its SCC is.
+	for _, scc := range cg.SCCs {
 		d := false
+	outer:
 		for _, p := range scc {
 			if dirty[p] {
 				d = true
 				break
 			}
-		}
-		if !d {
-		outer:
-			for _, p := range scc {
-				for _, callee := range cg.Callees[p] {
-					if j, ok := sccOf[callee]; ok && j != i && sccDirty[j] {
-						d = true
-						break outer
-					}
+			for _, callee := range cg.Callees[p] {
+				if dirty[callee] {
+					d = true
+					break outer
 				}
 			}
 		}
-		sccDirty[i] = d
 		if d {
 			for _, p := range scc {
 				dirty[p] = true
@@ -405,9 +401,9 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	}
 
 	replay := make(map[string]*procSnap, len(order))
-	for _, p := range order {
+	for i, p := range order {
 		if !dirty[p.Name] {
-			replay[p.Name] = sess.procs[p.Name]
+			replay[p.Name] = snaps[i]
 		}
 	}
 
@@ -415,7 +411,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, fpOf)
+	e.record(lat, sums, opts, res, art, fpOf, sccKey)
 	return res, nil
 }
 
@@ -449,7 +445,8 @@ func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
 		Scheme:         snap.scheme,
 		Sketch:         snap.pr.Sketch,
 		SpecializedIns: map[string]*sketch.Sketch{},
-		Constraints:    snap.pr.Constraints,
+		raw:            snap.pr.raw,
+		rawDeferred:    snap.pr.rawDeferred,
 	}
 	return pr, snap.obs
 }
@@ -481,12 +478,13 @@ func bodyHashOf(p *asm.Proc) uint64 {
 	return h.Sum64()
 }
 
-// record publishes a run as the engine's session. fpOf carries the
-// session fingerprints when the caller already computed them
-// (Reanalyze); otherwise they are computed here. Runs whose options
-// cannot be compared across calls (trace-restricted generation) are
-// not recorded.
-func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP) {
+// record publishes a run as the engine's session. fpOf and sccKey
+// carry the session fingerprints and SCC keys when the caller already
+// computed them (Reanalyze); otherwise they are computed here. A nil
+// sums stands for the stock table. Runs whose options cannot be
+// compared across calls (trace-restricted generation) are not
+// recorded.
+func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP, sccKey map[string]string) {
 	if e.noSessions || !sessionable(opts) {
 		return
 	}
@@ -504,12 +502,15 @@ func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options
 			fpOf[p] = fps[i]
 		}
 	}
+	if sccKey == nil {
+		sccKey = sccKeys(art.cg)
+	}
 	sess := &session{
 		latSig:  lat.Signature(),
-		sumsDig: sumsDigest(sums),
+		sumsDig: sessionSumsDigest(sums),
 		opts:    opts,
 		procs:   make(map[string]*procSnap, len(art.order)),
-		sccKey:  sccKeys(art.cg),
+		sccKey:  sccKey,
 	}
 	for i, p := range art.order {
 		pr := art.prs[i]

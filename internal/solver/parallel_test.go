@@ -242,7 +242,7 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 		t.Fatal("no sealed sketch found in results despite cache hits")
 	}
 
-	g := pgraph.Build(res.Procs[servedProc].Constraints, lat)
+	g := pgraph.Build(res.Procs[servedProc].Constraints(), lat)
 	defer g.Release()
 	dec := sketch.NewDecorator(g)
 	defer dec.Release()

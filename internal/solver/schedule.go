@@ -129,11 +129,12 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 // gens, fps, prs, obs slots — all distinct slice elements owned by one
 // task) to the dependent task's reads.
 //
-// Incremental runs ride the same graph: a clean SCC's F.1 task is a
-// no-op (its schemes were pre-published from the session) and a clean
-// procedure's F.2 task replays its snapshot, but both still signal
-// their dependents, so dirty ancestors order after them exactly as
-// fresh work would.
+// Incremental runs put only dirty SCCs on the graph. A clean SCC has
+// nothing to compute: its schemes are pre-published from the session
+// and its procedures replay their snapshots before the pool starts
+// (pipeline.replayClean). Its transitive callees are all clean too, so
+// it never waits on a dirty SCC, and the dirty SCCs it would gate are
+// wired as if it had already completed.
 type schedGraph struct {
 	pl    *pipeline
 	cg    *cfg.CallGraph
@@ -190,10 +191,13 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 		}
 	}
 	for i, scc := range cg.SCCs {
+		if !s.scheduled(i) {
+			continue
+		}
 		depSet := map[int]bool{}
 		for _, p := range scc {
 			for _, callee := range cg.Callees[p] {
-				if j, ok := sccOf[callee]; ok && j != i {
+				if j, ok := sccOf[callee]; ok && j != i && s.scheduled(j) {
 					depSet[j] = true
 				}
 			}
@@ -235,6 +239,22 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 	return s
 }
 
+// scheduled reports whether SCC i runs on the graph: every SCC of a
+// full run, only the dirty ones of an incremental run.
+func (s *schedGraph) scheduled(i int) bool {
+	return s.pl.inc == nil || s.pl.inc.dirty[s.cg.SCCs[i][0]]
+}
+
+// anyScheduled reports whether any SCC runs on the graph.
+func (s *schedGraph) anyScheduled() bool {
+	for i := range s.cg.SCCs {
+		if s.scheduled(i) {
+			return true
+		}
+	}
+	return false
+}
+
 // run executes the graph to quiescence: seed the dependency-free SCCs,
 // let completions cascade. The pool's worker count and any test hooks
 // (schedtest perturbation) change only the schedule, never the output.
@@ -246,17 +266,21 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 // dependents, so even before the cancel watcher fires the pool can only
 // shrink toward quiescence, never start work downstream of a fault.
 func (s *schedGraph) run() error {
+	if s.pl.inc != nil && !s.anyScheduled() {
+		// A replay-only incremental run: no pool to start.
+		return s.pl.ctx.Err()
+	}
 	return conc.RunPoolCtx(s.pl.ctx, s.pl.workers, s.pl.opts.SchedHooks, func(sub conc.Submitter) {
 		for i := range s.cg.SCCs {
-			if s.f1Pending[i].Load() == 0 {
+			if s.scheduled(i) && s.f1Pending[i].Load() == 0 {
 				sub.Submit(s.f1Task(i))
 			}
 		}
 	})
 }
 
-// f1Task returns the F.1 task of SCC i: infer (or translate, or replay)
-// its schemes, then signal its procedures' F.2 gates and its caller
+// f1Task returns the F.1 task of SCC i: infer (or translate) its
+// schemes, then signal its procedures' F.2 gates and its caller
 // SCCs. The task body runs guarded; on a fault nothing is signalled.
 func (s *schedGraph) f1Task(i int) conc.Task {
 	return conc.Task{
@@ -286,9 +310,6 @@ func (s *schedGraph) f1Task(i int) conc.Task {
 func (s *schedGraph) runF1(i int) {
 	pl := s.pl
 	scc := s.cg.SCCs[i]
-	if pl.inc != nil && !pl.inc.dirty[scc[0]] {
-		return // clean SCC: schemes pre-published from the session
-	}
 	if plan := s.plans[i]; plan != nil {
 		pl.runMemberF1(scc[0], plan)
 		return
@@ -297,7 +318,7 @@ func (s *schedGraph) runF1(i int) {
 }
 
 // f2Task returns the F.2 task of procedure index pi: solve (or
-// translate, or replay) its sketch, then signal any dedup members
+// translate) its sketch, then signal any dedup members
 // waiting to translate this procedure's result. The task body runs
 // guarded; on a fault nothing is signalled.
 func (s *schedGraph) f2Task(pi int) conc.Task {
@@ -309,8 +330,6 @@ func (s *schedGraph) f2Task(pi int) conc.Task {
 			s.trace(evF2Start, pi, 0)
 			ok := pl.runGuarded("F.2", -1, p, func() {
 				switch {
-				case pl.inc != nil && !pl.inc.dirty[p]:
-					pl.prs[pi], pl.obs[pi] = pl.replayProc(p)
 				case pl.memberOf[pi] != nil && pl.memberOf[pi].entry != nil:
 					// Cross-program serve from a stored body entry; aux -1
 					// marks that the source is no procedure of this run.

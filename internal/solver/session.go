@@ -126,9 +126,9 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 		} else {
 			rec = append(rec, 0)
 		}
-		if snap.pr.Constraints != nil {
+		if raw := snap.pr.Constraints(); raw != nil {
 			rec = append(rec, 1)
-			rec = snap.pr.Constraints.AppendWire(rec)
+			rec = raw.AppendWire(rec)
 		} else {
 			rec = append(rec, 0)
 		}
@@ -220,8 +220,6 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	sess := &session{
 		latSig:  latSig,
 		sumsDig: sumsDig,
-		procs:   map[string]*procSnap{},
-		sccKey:  map[string]string{},
 	}
 	sess.opts.Absint.MonomorphicCalls = bits&sessOptMonomorphicCalls != 0
 	sess.opts.Absint.PolymorphicExternals = bits&sessOptPolymorphicExternals != 0
@@ -239,6 +237,9 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 		return 0, fmt.Errorf("solver: session procedure count %d exceeds file size", count)
 	}
 
+	sess.procs = make(map[string]*procSnap, count)
+	sess.sccKey = make(map[string]string, count)
+
 	// Pass 1: walk the length prefixes to find record boundaries.
 	recs := make([][]byte, count)
 	for i := range recs {
@@ -255,8 +256,10 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	}
 
 	// Pass 2: decode the records on all cores (the intern table and the
-	// lattice registry are concurrency-safe). Errors keep the lowest
-	// record index so a corrupt file reports deterministically.
+	// lattice registry are concurrency-safe), one contiguous stripe of
+	// records per worker so each stripe's sketch memo needs no lock.
+	// Errors keep the lowest record index so a corrupt file reports
+	// deterministically.
 	type sessRec struct {
 		name   string
 		snap   *procSnap
@@ -264,9 +267,16 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 		err    error
 	}
 	decoded := make([]sessRec, count)
-	conc.ForEach(conc.Limit(0), len(recs), func(i int) {
-		name, snap, sccKey, err := decodeSessionRecord(recs[i])
-		decoded[i] = sessRec{name: name, snap: snap, sccKey: sccKey, err: err}
+	stripes := conc.Limit(0)
+	if stripes > len(recs) {
+		stripes = len(recs)
+	}
+	conc.ForEach(stripes, stripes, func(k int) {
+		sketches := sketchMemo{}
+		for i := k * len(recs) / stripes; i < (k+1)*len(recs)/stripes; i++ {
+			name, snap, sccKey, err := decodeSessionRecord(recs[i], sketches)
+			decoded[i] = sessRec{name: name, snap: snap, sccKey: sccKey, err: err}
+		}
 	})
 	for i := range decoded {
 		if err := decoded[i].err; err != nil {
@@ -285,9 +295,34 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	return len(sess.procs), nil
 }
 
+// sketchMemo shares decoded sketches among the records of one decode
+// stripe, keyed by blob bytes. Sealed sketches are immutable and shared
+// freely (the shape cache serves one sealed sketch to every procedure
+// with an isomorphic constraint set), so sessions repeat the same
+// sketch blob many times and each distinct blob decodes once.
+type sketchMemo map[string]*sketch.Sketch
+
+// decode returns the sealed sketch blob encodes, which must span it
+// exactly.
+func (sm sketchMemo) decode(blob []byte, what string) (*sketch.Sketch, error) {
+	if sk, ok := sm[string(blob)]; ok {
+		return sk, nil
+	}
+	sk, used, err := sketch.DecodeSketchWire(blob)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(blob) {
+		return nil, fmt.Errorf("solver: %d trailing bytes in session %s blob", len(blob)-used, what)
+	}
+	sk.Seal()
+	sm[string(blob)] = sk
+	return sk, nil
+}
+
 // decodeSessionRecord decodes one per-procedure session record (the
 // bytes inside its length prefix) and must consume it exactly.
-func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
+func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, string, error) {
 	n := 0
 	fail := func(err error) (string, *procSnap, string, error) { return "", nil, "", err }
 	decodeSketchBlob := func(what string) (*sketch.Sketch, error) {
@@ -296,15 +331,12 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 			return nil, fmt.Errorf("solver: truncated %s in session file", what)
 		}
 		n += m
-		sk, used, err := sketch.DecodeSketchWire(rec[n : n+int(ln)])
+		sk, err := sketches.decode(rec[n:n+int(ln)], what)
 		if err != nil {
 			return nil, err
 		}
-		if used != int(ln) {
-			return nil, fmt.Errorf("solver: %d trailing bytes in session %s blob", int(ln)-used, what)
-		}
 		n += int(ln)
-		return sk.Seal(), nil
+		return sk, nil
 	}
 	name, m, err := decodeCacheString(rec[n:], "procedure name")
 	if err != nil {
@@ -347,7 +379,7 @@ func decodeSessionRecord(rec []byte) (string, *procSnap, string, error) {
 		if err != nil {
 			return fail(err)
 		}
-		pr.Constraints = cs
+		pr.raw = cs
 		n += m
 	case 0:
 	default:

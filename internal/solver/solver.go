@@ -164,9 +164,24 @@ type ProcResult struct {
 	// SpecializedIns maps formal location names to the F.3-refined
 	// parameter sketches (nil when no callsite evidence exists).
 	SpecializedIns map[string]*sketch.Sketch
-	// Constraints is the generated (unsimplified) constraint set, kept
-	// when Options.KeepIntermediates is set.
-	Constraints *constraints.Set
+	// raw is the generated (unsimplified) constraint set, kept when
+	// Options.KeepIntermediates is set; rawDeferred stands in for it on
+	// procedures served by body dedup. Read both through Constraints.
+	raw         *constraints.Set
+	rawDeferred *absint.Deferred
+}
+
+// Constraints returns the generated (unsimplified) constraint set, kept
+// when Options.KeepIntermediates is set (nil otherwise). A procedure
+// served by body dedup holds its source's set and rename surgery
+// instead and translates them on the first call, which is when the
+// procedure's own variable names are interned; every caller, on any
+// goroutine, gets the same set.
+func (pr *ProcResult) Constraints() *constraints.Set {
+	if pr.rawDeferred != nil {
+		return pr.rawDeferred.Set()
+	}
+	return pr.raw
 }
 
 // InSketch returns the sketch of the formal at location name
@@ -394,6 +409,12 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 	}
 	pl.infos = infos
 	res.Infos = infos
+	if inc != nil {
+		pl.replayClean()
+		if err := pl.finish(nil); err != nil {
+			return nil, nil, err
+		}
+	}
 	if err := pl.finish(pl.buildSched(cg, plans).run()); err != nil {
 		return nil, nil, err
 	}
@@ -433,6 +454,22 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		}
 	}
 	return res, &runArtifacts{cg: cg, order: pl.order, prs: pl.prs, obs: pl.obs}, nil
+}
+
+// replayClean fills the F.2 slots of every clean procedure of an
+// incremental run from its session snapshot. A replay only copies
+// pointers, so it runs inline rather than as a pool task, but still
+// under runGuarded as an F.2 item (hooks and faults see it like any
+// other F.2 task); the first fault stops the loop.
+func (pl *pipeline) replayClean() {
+	for pi, p := range pl.order {
+		if pl.inc.dirty[p] {
+			continue
+		}
+		if !pl.runGuarded("F.2", -1, p, func() { pl.prs[pi], pl.obs[pi] = pl.replayProc(p) }) {
+			return
+		}
+	}
 }
 
 // runArtifacts carries the per-procedure outputs of one pipeline run in
@@ -511,9 +548,9 @@ type pipeline struct {
 	dedup *dedupState
 
 	// inc is the incremental plan of a Reanalyze run (nil for full
-	// runs): clean SCCs' F.1 tasks are no-ops (schemes pre-published),
-	// clean procedures' F.2 tasks replay their snapshots. Both still
-	// ride the readiness graph, signalling dependents like fresh work.
+	// runs): clean SCCs' schemes are pre-published and their procedures
+	// replay their snapshots (replayClean); only dirty SCCs ride the
+	// readiness graph.
 	inc *incrementalPlan
 
 	// prs and obs are the phase-2 outputs, parallel to order, retained
@@ -883,7 +920,7 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
 	if pl.opts.KeepIntermediates {
-		pr.Constraints = gr.Constraints
+		pr.raw = gr.Constraints
 	}
 
 	var obs []actualObs

@@ -209,6 +209,14 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // into a process-wide append-only symbol table (internal/intern), so
 // re-inferring a program is free of new interning but the table grows
 // with the number of distinct names ever seen and is not reclaimed.
+// A procedure served by body deduplication interns only the names its
+// scheme mentions: the local names of its raw constraint set, which
+// the solver keeps by default, are interned on the set's first read
+// (solver.ProcResult.Constraints), and nothing Result renders reads
+// it. Streaming 8000-instruction
+// binaries that share a renamed half through one Engine (the perfbench
+// fleet workload; 2-CPU Xeon, go1.24) grows the table by about 4700
+// symbols and 8200 derived type variables per program.
 // For a service inferring an unbounded stream of distinct programs,
 // run batches in separate processes to bound table growth.
 func Infer(prog *Program, cfg *Config) *Result {
