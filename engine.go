@@ -180,7 +180,8 @@ func LoadSession(path string, cfg *Config) (*Engine, error) {
 // this engine's live caches (the function-form LoadCache builds a fresh
 // engine instead). Composes with LoadSession: load the session to get
 // the replay baseline, then merge the cache so recomputed procedures
-// still hit the memo stack.
+// still hit the memo stack. Like LoadCache, the engine keeps the file's
+// bytes for first-hit decoding of body-class entries.
 func (e *Engine) LoadCacheFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -203,7 +204,11 @@ func (e *Engine) CacheLen() (schemeEntries, shapeEntries int) {
 // being re-simplified and re-shape-solved, with byte-identical output.
 // Files written by a different encoding version are refused (the cache
 // is then simply cold); shape entries whose lattice has not been built
-// in this process are skipped.
+// in this process are skipped. The body-class table's entries are
+// decoded on first hit, not here: the engine keeps the file's bytes,
+// serves a loaded entry once a procedure of its class is analyzed, and
+// SaveCache writes entries it never hit back verbatim. An entry that
+// turns out undecodable is a miss, never an error.
 func LoadCache(path string) (*Engine, error) {
 	eng, _, err := solver.LoadCache(path, 0, 0)
 	if err != nil {

@@ -384,10 +384,12 @@ func RunFleet(n int, shared float64, size int, seed int64, workers int) []Scalin
 	// measure runs one binary scaleTrials times, each trial against a
 	// freshly built engine (cold: empty; warm: loaded from the
 	// accumulated cache file), and records the median inference time.
-	// Engine construction and cache decode stay outside the timer: a
+	// Engine construction and the cache load stay outside the timer: a
 	// serving process pays them once, the per-binary analysis many
-	// times. The last trial's engine is returned so its grown cache can
-	// be saved for the next binary.
+	// times. Body-class entries are decoded on first hit, so the timer
+	// does cover decoding the entries this binary hits. The last
+	// trial's engine is returned so its grown cache can be saved for
+	// the next binary.
 	measure := func(kind string, insts int, newEngine func() *solver.Engine, prog *asm.Program) (ScalingPoint, *solver.Engine, *solver.Result) {
 		secs := make([]float64, scaleTrials)
 		allocs := make([]float64, scaleTrials)

@@ -50,11 +50,14 @@
 //     a nanosecond ago on another goroutine.
 //   - key → id (the intern lookups): served from an immutable map
 //     snapshot behind a second atomic pointer; misses fall back to the
-//     mutex-guarded authoritative maps, and the snapshot is rebuilt
-//     once enough new entries (or enough locked fallback hits)
-//     accumulate. Rebuilds copy the maps, so the threshold scales with
-//     table size — amortized O(1) per intern, zero rebuilds on a warm
-//     table.
+//     mutex-guarded maps of keys interned since the snapshot, and the
+//     snapshot is rebuilt (old snapshot plus those keys, which then
+//     start afresh) once enough new entries (or enough locked fallback
+//     hits) accumulate. Rebuilds copy the maps, so the threshold
+//     scales with table size — amortized O(1) per intern, zero
+//     rebuilds on a warm table. Every key lives in exactly one of the
+//     two, so the table holds each key once however recently the
+//     snapshot was rebuilt.
 //
 // # Wire forms
 //
@@ -152,13 +155,14 @@ type Table struct {
 	// under mu after every first-time intern, before the new id escapes.
 	ids atomic.Pointer[idData]
 	// read is the key→id map snapshot; possibly stale, misses fall back
-	// to the authoritative maps under mu.
+	// to recent under mu.
 	read atomic.Pointer[mapData]
 
 	mu sync.Mutex
-	// auth holds the authoritative maps, guarded by mu; their contents
-	// are disjoint from every published snapshot's.
-	auth mapData
+	// recent holds the keys interned since the current snapshot was
+	// built, guarded by mu; its contents are disjoint from the
+	// snapshot's, and the two together are authoritative.
+	recent mapData
 	// sinceRebuild counts writes and locked fallback hits since the
 	// last snapshot rebuild; past rebuildAt the snapshot is rebuilt.
 	sinceRebuild int
@@ -174,13 +178,14 @@ const rebuildFloor = 1024
 // word, and the zero derived type variable at id 0.
 func NewTable() *Table {
 	t := &Table{
-		auth: mapData{
+		recent: mapData{
 			syms:  map[string]Sym{"": 0},
 			words: map[wordKey]WordRef{},
 			dtvs:  map[dtvKey]Ref{{}: 0},
 		},
 		rebuildAt: rebuildFloor,
 	}
+	t.read.Store(&mapData{})
 	t.ids.Store(&idData{
 		strs:  []string{""},
 		wents: []wordEntry{{variance: label.Covariant}},
@@ -190,24 +195,28 @@ func NewTable() *Table {
 	return t
 }
 
-// rebuildLocked copies the authoritative maps into a fresh snapshot and
-// publishes it. Callers hold mu.
+// rebuildLocked publishes a fresh snapshot holding the current one's
+// keys plus recent's, and starts recent afresh. Callers hold mu.
 func (t *Table) rebuildLocked() {
+	old := t.read.Load()
 	snap := &mapData{
-		syms:  make(map[string]Sym, len(t.auth.syms)),
-		words: make(map[wordKey]WordRef, len(t.auth.words)),
-		dtvs:  make(map[dtvKey]Ref, len(t.auth.dtvs)),
+		syms:  make(map[string]Sym, len(old.syms)+len(t.recent.syms)),
+		words: make(map[wordKey]WordRef, len(old.words)+len(t.recent.words)),
+		dtvs:  make(map[dtvKey]Ref, len(old.dtvs)+len(t.recent.dtvs)),
 	}
-	for k, v := range t.auth.syms {
-		snap.syms[k] = v
-	}
-	for k, v := range t.auth.words {
-		snap.words[k] = v
-	}
-	for k, v := range t.auth.dtvs {
-		snap.dtvs[k] = v
+	for _, d := range []*mapData{old, &t.recent} {
+		for k, v := range d.syms {
+			snap.syms[k] = v
+		}
+		for k, v := range d.words {
+			snap.words[k] = v
+		}
+		for k, v := range d.dtvs {
+			snap.dtvs[k] = v
+		}
 	}
 	t.read.Store(snap)
+	t.recent = mapData{syms: map[string]Sym{}, words: map[wordKey]WordRef{}, dtvs: map[dtvKey]Ref{}}
 	t.sinceRebuild = 0
 	if at := snap.size(); at > rebuildFloor {
 		t.rebuildAt = at
@@ -258,12 +267,16 @@ func (t *Table) Sym(s string) Sym {
 func (t *Table) symSlow(s string) Sym {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id, ok := t.auth.syms[s]
+	id, ok := t.recent.syms[s]
+	if !ok {
+		// A rebuild since the caller's snapshot miss may have moved s.
+		id, ok = t.read.Load().syms[s]
+	}
 	if !ok {
 		ids := t.ids.Load()
 		id = Sym(len(ids.strs))
 		t.publishIDs(append(ids.strs, s), ids.wents, ids.dents)
-		t.auth.syms[s] = id
+		t.recent.syms[s] = id
 	}
 	t.note()
 	return id
@@ -278,7 +291,10 @@ func (t *Table) StringOf(y Sym) string {
 // appendWordLocked interns (w, l); the write lock must be held.
 func (t *Table) appendWordLocked(w WordRef, l label.Label) WordRef {
 	k := wordKey{parent: w, last: l}
-	if id, ok := t.auth.words[k]; ok {
+	if id, ok := t.recent.words[k]; ok {
+		return id
+	}
+	if id, ok := t.read.Load().words[k]; ok {
 		return id
 	}
 	ids := t.ids.Load()
@@ -292,7 +308,7 @@ func (t *Table) appendWordLocked(w WordRef, l label.Label) WordRef {
 		variance: pe.variance.Mul(l.Variance()),
 		wire:     wire,
 	}), ids.dents)
-	t.auth.words[k] = id
+	t.recent.words[k] = id
 	return id
 }
 
@@ -381,7 +397,10 @@ func (t *Table) DecodeWordWire(data []byte) (WordRef, int, error) {
 // so that Parent never has to write; the write lock must be held.
 func (t *Table) internDTVLocked(base Sym, w WordRef) Ref {
 	k := dtvKey{base: base, word: w}
-	if id, ok := t.auth.dtvs[k]; ok {
+	if id, ok := t.recent.dtvs[k]; ok {
+		return id
+	}
+	if id, ok := t.read.Load().dtvs[k]; ok {
 		return id
 	}
 	var parent Ref
@@ -391,7 +410,7 @@ func (t *Table) internDTVLocked(base Sym, w WordRef) Ref {
 	ids := t.ids.Load()
 	id := Ref(len(ids.dents))
 	t.publishIDs(ids.strs, ids.wents, append(ids.dents, dtvEntry{base: base, word: w, parent: parent}))
-	t.auth.dtvs[k] = id
+	t.recent.dtvs[k] = id
 	return id
 }
 

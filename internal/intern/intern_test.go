@@ -169,6 +169,61 @@ func TestConcurrentInterning(t *testing.T) {
 	}
 }
 
+// TestSnapshotHoldsEachKeyOnce: across many snapshot rebuilds, every
+// interned key lives in exactly one of the snapshot and the maps of
+// keys interned since it, and a locked lookup of a key that a rebuild
+// moved into the snapshot (the caller's lock-free probe having read
+// the older snapshot) finds it there instead of minting a second id.
+func TestSnapshotHoldsEachKeyOnce(t *testing.T) {
+	tb := NewTable()
+	syms := map[string]Sym{}
+	for i := 0; i < 5*rebuildFloor; i++ {
+		name := fmt.Sprintf("v%d", i)
+		syms[name] = tb.Sym(name)
+		d := tb.DTVAppend(tb.DTV(syms[name], 0), label.Field(32, 4*(i%8)))
+		if i%3 == 0 {
+			tb.DTVAppend(d, label.Load())
+		}
+	}
+	tb.mu.Lock()
+	snap := tb.read.Load()
+	if snap.size() < rebuildFloor {
+		t.Fatalf("snapshot holds %d keys: no rebuild happened", snap.size())
+	}
+	for k := range tb.recent.syms {
+		if _, ok := snap.syms[k]; ok {
+			t.Fatalf("symbol %q held twice", k)
+		}
+	}
+	for k := range tb.recent.words {
+		if _, ok := snap.words[k]; ok {
+			t.Fatalf("word %v held twice", k)
+		}
+	}
+	for k := range tb.recent.dtvs {
+		if _, ok := snap.dtvs[k]; ok {
+			t.Fatalf("derived type variable %v held twice", k)
+		}
+	}
+	nSyms, nWords, nDTVs := tb.Stats()
+	if got := len(snap.syms) + len(tb.recent.syms); got != nSyms {
+		t.Errorf("maps hold %d symbols, table has %d", got, nSyms)
+	}
+	// ε is word 0 without a trie key.
+	if got := len(snap.words) + len(tb.recent.words); got+1 != nWords {
+		t.Errorf("maps hold %d words, table has %d besides ε", got, nWords-1)
+	}
+	if got := len(snap.dtvs) + len(tb.recent.dtvs); got != nDTVs {
+		t.Errorf("maps hold %d derived type variables, table has %d", got, nDTVs)
+	}
+	tb.mu.Unlock()
+	for name, id := range syms {
+		if got := tb.symSlow(name); got != id {
+			t.Fatalf("locked lookup of %q minted %d, want %d", name, got, id)
+		}
+	}
+}
+
 // BenchmarkLookupMapStringVsInterned compares the two index designs the
 // interning refactor trades between: a map keyed by rendered
 // derived-type-variable strings (the pre-intern representation, paying

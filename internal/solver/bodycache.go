@@ -36,7 +36,9 @@ import (
 // prefixes every canonical encoding.
 //
 // All fields are guarded by mu. Entries are immutable once set and
-// set at most once (first publisher wins).
+// set at most once (first publisher wins). An entry carried in from a
+// cache file stays an undecoded blob until its class is first hit
+// (resolve), so a restart pays only for the entries it serves.
 type bodyCache struct {
 	mu     sync.Mutex
 	byHash map[uint64][]*bodyClass
@@ -60,9 +62,19 @@ type bodyClass struct {
 	// membership (EquivalentTo against it confirms a hash match).
 	fp *bodyfp.FP
 	// entry holds the published results (nil until a full-path member
-	// completes). Written once under bodyCache.mu; the pointed-to entry
-	// is immutable.
+	// completes or blob decodes). Written once under bodyCache.mu; the
+	// pointed-to entry is immutable.
 	entry *bodyEntry
+	// blob is the wire form of an entry carried in from a cache file: a
+	// slice of the loaded file's bytes, decoded on the class's first hit
+	// (resolve) and written back verbatim by appendWire, hit or not. A
+	// blob that fails to decode is cleared under bodyCache.mu, so the
+	// class misses like one without an entry and the bad bytes are
+	// never saved again. While blob is set, entry is nil or its decoded
+	// form.
+	blob []byte
+	//retypd:notkey guards the single decode of blob, which fills entry
+	decode sync.Once
 }
 
 // bodyEntry is the published result of one full-path run of a class
@@ -111,19 +123,77 @@ type entryObs struct {
 }
 
 // lookup returns the class equivalent to fp, creating it if absent,
-// plus the class's current entry (nil when none is published yet).
-func (bc *bodyCache) lookup(fp *bodyfp.FP) (*bodyClass, *bodyEntry) {
+// plus the class's current entry (nil when none is published yet). A
+// carried blob is decoded first, outside the table mutex (keep: see
+// resolve).
+func (bc *bodyCache) lookup(fp *bodyfp.FP, keep bool) (*bodyClass, *bodyEntry) {
 	bc.mu.Lock()
-	defer bc.mu.Unlock()
+	c := bc.find(fp)
+	if c == nil {
+		c = &bodyClass{id: bc.nextID, fp: fp}
+		bc.nextID++
+		bc.byHash[fp.Hash()] = append(bc.byHash[fp.Hash()], c)
+	}
+	bc.mu.Unlock()
+	return c, bc.resolve(c, keep)
+}
+
+// prefetch decodes the carried blob of fp's existing class, if any,
+// without filing a class. classifyBodies calls it from its parallel
+// fingerprint fan-out, so the sequential classification walk finds
+// the entries it serves already decoded.
+func (bc *bodyCache) prefetch(fp *bodyfp.FP, keep bool) {
+	bc.mu.Lock()
+	c := bc.find(fp)
+	bc.mu.Unlock()
+	if c != nil {
+		bc.resolve(c, keep)
+	}
+}
+
+// find returns the filed class equivalent to fp, or nil. Callers hold
+// bc.mu.
+func (bc *bodyCache) find(fp *bodyfp.FP) *bodyClass {
 	for _, c := range bc.byHash[fp.Hash()] {
 		if c.fp.EquivalentTo(fp) {
-			return c, c.entry
+			return c
 		}
 	}
-	c := &bodyClass{id: bc.nextID, fp: fp}
-	bc.nextID++
-	bc.byHash[fp.Hash()] = append(bc.byHash[fp.Hash()], c)
-	return c, nil
+	return nil
+}
+
+// resolve returns c's current entry, first decoding its carried blob
+// if it has one and no one has yet. The decode runs once per class and
+// outside bc.mu, so concurrent runs hitting different classes decode
+// in parallel; a failed (or panicking) decode clears the blob. keep is
+// the hitting run's Options.KeepIntermediates: a run that does not keep
+// raw constraint sets never reads an entry's, so its decode skips the
+// set, and KeepIntermediates runs of the same engine then refuse the
+// entry (entryPlan) and run those members in full. Output is the same
+// either way; only an engine that mixes the two settings loses hits.
+func (bc *bodyCache) resolve(c *bodyClass, keep bool) *bodyEntry {
+	c.decode.Do(func() {
+		bc.mu.Lock()
+		blob := c.blob
+		bc.mu.Unlock()
+		if blob == nil {
+			return
+		}
+		var e *bodyEntry
+		defer func() {
+			bc.mu.Lock()
+			if e == nil {
+				c.blob = nil
+			} else if c.entry == nil {
+				c.entry = e
+			}
+			bc.mu.Unlock()
+		}()
+		e, _ = decodeEntryWire(blob, keep)
+	})
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	return c.entry
 }
 
 // setEntry publishes e as cls's entry unless one is already present
@@ -135,21 +205,6 @@ func (bc *bodyCache) setEntry(cls *bodyClass, e *bodyEntry) {
 		cls.entry = e
 	}
 	bc.mu.Unlock()
-}
-
-// stats reports the table's class and entry counts.
-func (bc *bodyCache) stats() (classes, entries int) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	for _, chain := range bc.byHash {
-		classes += len(chain)
-		for _, c := range chain {
-			if c.entry != nil {
-				entries++
-			}
-		}
-	}
-	return classes, entries
 }
 
 // sorted returns the table's classes in id order (the canonical order

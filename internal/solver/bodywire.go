@@ -2,7 +2,6 @@ package solver
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -31,34 +30,40 @@ func decodeCacheString(data []byte, what string) (string, int, error) {
 }
 
 // appendWire appends the table's wire form to buf: classes in id order,
-// each entry blob length-prefixed so loaders can skip it whole.
+// each entry blob length-prefixed so loaders can keep it whole. A blob
+// carried in from a cache file is written verbatim, decoded or not;
+// only entries published in this process are encoded here.
 func (bc *bodyCache) appendWire(buf []byte) []byte {
 	bc.mu.Lock()
 	nextID := bc.nextID
-	type pair struct {
+	type snap struct {
 		cls   *bodyClass
 		entry *bodyEntry // snapshotted under the lock (set-once after)
+		blob  []byte     // likewise (only ever cleared after load)
 	}
-	pairs := make([]pair, 0, len(bc.byHash))
+	snaps := make([]snap, 0, len(bc.byHash))
 	for _, chain := range bc.byHash {
 		for _, c := range chain {
-			pairs = append(pairs, pair{c, c.entry})
+			snaps = append(snaps, snap{c, c.entry, c.blob})
 		}
 	}
 	bc.mu.Unlock()
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].cls.id < pairs[j].cls.id })
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].cls.id < snaps[j].cls.id })
 
 	buf = binary.AppendUvarint(buf, uint64(nextID))
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
+	buf = binary.AppendUvarint(buf, uint64(len(snaps)))
+	for _, p := range snaps {
 		buf = binary.AppendUvarint(buf, uint64(p.cls.id))
 		buf = p.cls.fp.AppendWire(buf)
-		if p.entry == nil {
+		blob := p.blob
+		if blob == nil && p.entry != nil {
+			blob = appendEntryWire(nil, p.entry)
+		}
+		if blob == nil {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		blob := appendEntryWire(nil, p.entry)
 		buf = binary.AppendUvarint(buf, uint64(len(blob)))
 		buf = append(buf, blob...)
 	}
@@ -93,46 +98,49 @@ func appendEntryWire(buf []byte, e *bodyEntry) []byte {
 	return buf
 }
 
-// loadWire decodes a body section into bc, which must never have filed
-// a class (see the persistence doc: merging would renumber ids that
-// caller fingerprints embed). Returns bytes consumed, classes and
-// entries loaded, and entries skipped for an unbuilt lattice.
-func (bc *bodyCache) loadWire(data []byte) (n, classes, entries, skipped int, err error) {
+// loadWire installs a body section into bc, which must never have
+// filed a class (see the persistence doc: merging would renumber ids
+// that caller fingerprints embed). Class ids and fingerprints are
+// decoded here, because membership needs them; each entry blob is kept
+// undecoded, as a slice of data, until its class is first hit
+// (bodyCache.resolve). Returns bytes consumed and the classes and
+// entry blobs installed.
+func (bc *bodyCache) loadWire(data []byte) (n, classes, entries int, err error) {
 	if !bc.empty() {
-		return 0, 0, 0, 0, fmt.Errorf("solver: body-class section can only load into an empty table")
+		return 0, 0, 0, fmt.Errorf("solver: body-class section can only load into an empty table")
 	}
 	nextID, m := binary.Uvarint(data)
 	if m <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("solver: truncated body table size")
+		return 0, 0, 0, fmt.Errorf("solver: truncated body table size")
 	}
 	n += m
 	count, m := binary.Uvarint(data[n:])
 	if m <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("solver: truncated body class count")
+		return 0, 0, 0, fmt.Errorf("solver: truncated body class count")
 	}
 	n += m
 	if count > uint64(len(data)-n) {
-		return 0, 0, 0, 0, fmt.Errorf("solver: body class count %d exceeds section size", count)
+		return 0, 0, 0, fmt.Errorf("solver: body class count %d exceeds section size", count)
 	}
 	byHash := map[uint64][]*bodyClass{}
 	var lastID int64 = -1
 	for i := uint64(0); i < count; i++ {
 		id, m := binary.Uvarint(data[n:])
 		if m <= 0 {
-			return 0, 0, 0, 0, fmt.Errorf("solver: truncated body class id")
+			return 0, 0, 0, fmt.Errorf("solver: truncated body class id")
 		}
 		n += m
 		if int64(id) <= lastID || id >= nextID {
-			return 0, 0, 0, 0, fmt.Errorf("solver: body class id %d out of order or beyond table size", id)
+			return 0, 0, 0, fmt.Errorf("solver: body class id %d out of order or beyond table size", id)
 		}
 		lastID = int64(id)
 		fp, m, err := bodyfp.DecodeFPWire(data[n:])
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, 0, err
 		}
 		n += m
 		if n >= len(data) {
-			return 0, 0, 0, 0, fmt.Errorf("solver: truncated body entry flag")
+			return 0, 0, 0, fmt.Errorf("solver: truncated body entry flag")
 		}
 		hasEntry := data[n]
 		n++
@@ -140,22 +148,15 @@ func (bc *bodyCache) loadWire(data []byte) (n, classes, entries, skipped int, er
 		if hasEntry == 1 {
 			ln, m := binary.Uvarint(data[n:])
 			if m <= 0 || uint64(len(data)-n-m) < ln {
-				return 0, 0, 0, 0, fmt.Errorf("solver: truncated body entry blob")
+				return 0, 0, 0, fmt.Errorf("solver: truncated body entry blob")
 			}
 			n += m
-			e, err := decodeEntryWire(data[n : n+int(ln)])
-			switch {
-			case errors.Is(err, sketch.ErrUnknownLattice):
-				skipped++ // class survives; the entry could never be hit here
-			case err != nil:
-				return 0, 0, 0, 0, err
-			default:
-				cls.entry = e
-				entries++
-			}
-			n += int(ln)
+			end := n + int(ln)
+			cls.blob = data[n:end:end]
+			entries++
+			n = end
 		} else if hasEntry != 0 {
-			return 0, 0, 0, 0, fmt.Errorf("solver: invalid body entry flag %d", hasEntry)
+			return 0, 0, 0, fmt.Errorf("solver: invalid body entry flag %d", hasEntry)
 		}
 		byHash[fp.Hash()] = append(byHash[fp.Hash()], cls)
 		classes++
@@ -164,12 +165,13 @@ func (bc *bodyCache) loadWire(data []byte) (n, classes, entries, skipped int, er
 	bc.byHash = byHash
 	bc.nextID = uint32(nextID)
 	bc.mu.Unlock()
-	return n, classes, entries, skipped, nil
+	return n, classes, entries, nil
 }
 
 // decodeEntryWire decodes one entry blob; it must consume the blob
-// exactly.
-func decodeEntryWire(data []byte) (*bodyEntry, error) {
+// exactly. Without withRaw the raw constraint set, the largest part of
+// most blobs, is skipped undecoded and the entry carries none.
+func decodeEntryWire(data []byte, withRaw bool) (*bodyEntry, error) {
 	e := &bodyEntry{}
 	var n int
 	var err error
@@ -244,6 +246,10 @@ func decodeEntryWire(data []byte) (*bodyEntry, error) {
 	switch data[n] {
 	case 1:
 		n++
+		if !withRaw {
+			n = len(data)
+			break
+		}
 		e.raw, m, err = constraints.DecodeSetWire(data[n:])
 		if err != nil {
 			return nil, err

@@ -178,7 +178,7 @@ func (ds *dedupState) calleeID(target string) (bodyfp.CalleeID, bool) {
 // the full path. isProc identifies program-procedure names for the
 // renamer's foreign-leak refusal and the entry portability check.
 func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool) *memberPlan {
-	cls, entry := ds.cache.lookup(fp)
+	cls, entry := ds.cache.lookup(fp, ds.keep)
 	// Class membership (and with it the callee identity served to
 	// callers) holds regardless of whether p is actually served below:
 	// an excluded member computes the same scheme the translation would

@@ -113,16 +113,24 @@ func fuzzCacheSeeds() [][]byte {
 // Because LoadCacheData rejects almost every mutated input at the
 // checksum before the interior decoders run, the fuzz function also
 // re-seals the input with a correct checksum so mutations reach the
-// scheme- and shape-cache wire decoders.
+// scheme- and shape-cache wire decoders. Body entry blobs are decoded
+// on first hit, not at load, so after every clean load each held blob
+// is decoded too: a malformed one must be a miss, never a panic.
 func FuzzLoadCache(f *testing.F) {
 	for _, seed := range fuzzCacheSeeds() {
 		f.Add(seed)
+	}
+	decodeHeld := func(eng *Engine) {
+		for _, c := range eng.bodies.sorted() {
+			eng.bodies.resolve(c, true)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh engine per input: loads merge into live caches, and
 		// the fuzz loop must not accumulate state across inputs.
 		eng := NewEngine(0, 0)
 		if _, err := eng.LoadCacheData(data); err == nil {
+			decodeHeld(eng)
 			// A clean load must also round-trip: saving what was loaded
 			// must produce a loadable cache again.
 			var buf bytes.Buffer
@@ -137,6 +145,8 @@ func FuzzLoadCache(f *testing.F) {
 		sum := sha256.Sum256(data)
 		sealed := append(append([]byte(nil), data...), sum[:]...)
 		eng2 := NewEngine(0, 0)
-		eng2.LoadCacheData(sealed)
+		if _, err := eng2.LoadCacheData(sealed); err == nil {
+			decodeHeld(eng2)
+		}
 	})
 }

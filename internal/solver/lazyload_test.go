@@ -1,0 +1,328 @@
+package solver
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"sync"
+	"testing"
+
+	"retypd/internal/asm"
+	"retypd/internal/corpus"
+	"retypd/internal/lattice"
+)
+
+// Tests of first-hit decoding of body-class entries: a loaded cache
+// keeps each entry blob undecoded until its class is hit, and writes
+// every blob it still holds back verbatim.
+
+// saveBytes returns e's cache file bytes.
+func saveBytes(t *testing.T, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.SaveCacheTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadBytes loads data into a fresh engine, failing the test on error.
+func loadBytes(t *testing.T, data []byte) *Engine {
+	t.Helper()
+	e := NewEngine(0, 0)
+	if _, err := e.LoadCacheData(data); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return e
+}
+
+// heldBlobs returns, in id order, the classes of e's body table that
+// hold an entry blob, each with its blob and current entry.
+func heldBlobs(e *Engine) (classes []*bodyClass, blobs [][]byte, entries []*bodyEntry) {
+	for _, c := range e.bodies.sorted() {
+		e.bodies.mu.Lock()
+		blob, entry := c.blob, c.entry
+		e.bodies.mu.Unlock()
+		if blob != nil {
+			classes = append(classes, c)
+			blobs = append(blobs, blob)
+			entries = append(entries, entry)
+		}
+	}
+	return classes, blobs, entries
+}
+
+// reseal rewrites data's trailing checksum over its current content.
+func reseal(data []byte) {
+	body := data[:len(data)-sha256.Size]
+	sum := sha256.Sum256(body)
+	copy(data[len(body):], sum[:])
+}
+
+// fleetCacheBytes analyzes n fleet binaries (size instructions each,
+// half a renamed shared library) on one engine and returns its cache
+// file bytes and the programs' sources.
+func fleetCacheBytes(t *testing.T, n, size int) ([]byte, []string) {
+	t.Helper()
+	lat := lattice.Default()
+	eng := NewEngine(0, 0)
+	var srcs []string
+	for _, b := range corpus.GenerateFleet("lazyfleet", 7, size, n, 0.5) {
+		eng.Infer(asm.MustParse(b.Source), lat, nil, DefaultOptions())
+		srcs = append(srcs, b.Source)
+	}
+	return saveBytes(t, eng), srcs
+}
+
+// TestLoadCacheDecodesEntriesOnFirstHit: a load decodes no entry blob,
+// and a run decodes only the blobs of the classes it hits.
+func TestLoadCacheDecodesEntriesOnFirstHit(t *testing.T) {
+	data, srcs := fleetCacheBytes(t, 4, 600)
+	eng := NewEngine(0, 0)
+	st, err := eng.LoadCacheData(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blobs, entries := heldBlobs(eng)
+	if len(blobs) == 0 || st.BodyEntries != len(blobs) {
+		t.Fatalf("load reports %d entries, table holds %d blobs", st.BodyEntries, len(blobs))
+	}
+	for i, e := range entries {
+		if e != nil {
+			t.Fatalf("blob %d decoded at load", i)
+		}
+	}
+
+	res := eng.Infer(asm.MustParse(srcs[0]), lattice.Default(), nil, DefaultOptions())
+	if res.BodyDedupCrossHits == 0 {
+		t.Fatal("re-running a cached binary served nothing from the loaded table")
+	}
+	_, after, entries := heldBlobs(eng)
+	if len(after) != len(blobs) {
+		t.Fatalf("%d of %d valid blobs dropped by a run", len(blobs)-len(after), len(blobs))
+	}
+	decoded := 0
+	for _, e := range entries {
+		if e != nil {
+			decoded++
+		}
+	}
+	if decoded == 0 || decoded == len(blobs) {
+		t.Errorf("one binary of four decoded %d of %d entry blobs; want some, not all", decoded, len(blobs))
+	}
+}
+
+// TestLoadCacheCorruptEntryIsMiss: entry blobs corrupted under a valid
+// checksum load cleanly; each is a miss at first hit (its members run
+// the full path and republish), the output equals a cold run byte for
+// byte, and no failing blob is saved again.
+func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
+	lat := lattice.Default()
+	prog := corpus.Generate("lazycorrupt", 23, 1500).Source
+	eng0 := NewEngine(0, 0)
+	eng0.Infer(asm.MustParse(prog), lat, nil, DefaultOptions())
+	data := saveBytes(t, eng0)
+	want := dumpAll(Infer(asm.MustParse(prog), lat, nil, DefaultOptions()))
+
+	// Each corruption reports whether it found a change that makes the
+	// blob fail to decode.
+	corruptions := map[string]func(blob []byte, i int) bool{
+		// Every byte 0xff: the leading name-length uvarint never ends.
+		"fill": func(blob []byte, _ int) bool {
+			for j := range blob {
+				blob[j] = 0xff
+			}
+			return true
+		},
+		// One flipped byte, at the first position (from a per-blob
+		// start) where the blob stops decoding.
+		"flip": func(blob []byte, i int) bool {
+			for k := 0; k < len(blob); k++ {
+				p := (i*7919 + k*31) % len(blob)
+				blob[p] ^= 0x5a
+				if _, err := decodeEntryWire(blob, true); err != nil {
+					return true
+				}
+				blob[p] ^= 0x5a
+			}
+			return false
+		},
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			bad := bytes.Clone(data)
+			// The loaded blobs alias bad, so corrupting them in place
+			// corrupts the file; every other blob stays intact.
+			_, blobs, _ := heldBlobs(loadBytes(t, bad))
+			corrupted := 0
+			for i, b := range blobs {
+				if i%2 == 0 {
+					if !corrupt(b, i) {
+						t.Fatalf("blob %d: found no corruption that fails to decode", i)
+					}
+					if _, err := decodeEntryWire(b, true); err == nil {
+						t.Fatalf("blob %d still decodes after corruption", i)
+					}
+					corrupted++
+				}
+			}
+			reseal(bad)
+
+			eng := NewEngine(0, 0)
+			st, err := eng.LoadCacheData(bad)
+			if err != nil {
+				t.Fatalf("re-sealed cache with corrupt entries refused: %v", err)
+			}
+			if st.BodyEntries != len(blobs) {
+				t.Fatalf("load carried %d entries, want %d", st.BodyEntries, len(blobs))
+			}
+			res := eng.Infer(asm.MustParse(prog), lat, nil, DefaultOptions())
+			if got := dumpAll(res); got != want {
+				t.Fatal("output with corrupt entries differs from a cold run")
+			}
+			if res.BodyDedupCrossHits == 0 {
+				t.Error("intact entries served nothing")
+			}
+
+			// Saved again, the table holds only decodable blobs: the
+			// corrupt ones were dropped and their classes republished.
+			_, saved, _ := heldBlobs(loadBytes(t, saveBytes(t, eng)))
+			for i, b := range saved {
+				if _, err := decodeEntryWire(b, true); err != nil {
+					t.Fatalf("saved blob %d does not decode: %v", i, err)
+				}
+			}
+			if len(saved) != len(blobs) {
+				t.Errorf("saved %d entries, want %d (%d corrupt ones republished)", len(saved), len(blobs), corrupted)
+			}
+		})
+	}
+}
+
+// TestSaveCacheWritesCarriedBlobsVerbatim: every entry's wire form is
+// canonical (re-encoding a decoded blob gives the blob), and a loaded
+// cache saves back byte-identically whether none, some or all of its
+// entries were decoded first.
+func TestSaveCacheWritesCarriedBlobsVerbatim(t *testing.T) {
+	data, _ := fleetCacheBytes(t, 12, 500)
+	_, blobs, _ := heldBlobs(loadBytes(t, data))
+	if len(blobs) == 0 {
+		t.Fatal("fleet cache carries no body entries")
+	}
+	for i, b := range blobs {
+		e, err := decodeEntryWire(b, true)
+		if err != nil {
+			t.Fatalf("blob %d: %v", i, err)
+		}
+		if re := appendEntryWire(nil, e); !bytes.Equal(re, b) {
+			t.Fatalf("blob %d: re-encoding its decoded entry changes it (len %d vs %d)", i, len(re), len(b))
+		}
+	}
+	for _, hit := range []struct {
+		name  string
+		every int  // decode every n-th held blob (0: none)
+		keep  bool // decode raw sets too
+	}{{"none", 0, true}, {"some", 3, true}, {"all", 1, true}, {"all without raw sets", 1, false}} {
+		eng := loadBytes(t, data)
+		classes, _, _ := heldBlobs(eng)
+		for i, c := range classes {
+			if hit.every > 0 && i%hit.every == 0 {
+				if eng.bodies.resolve(c, hit.keep) == nil {
+					t.Fatalf("%s: blob %d failed to decode", hit.name, i)
+				}
+			}
+		}
+		if got := saveBytes(t, eng); !bytes.Equal(got, data) {
+			t.Errorf("%s decoded: save changed the file (len %d vs %d)", hit.name, len(got), len(data))
+		}
+	}
+}
+
+// TestLoadedEntriesServeWithoutRawSets: a run that keeps no raw
+// constraint sets decodes entries without theirs and is served from
+// them; a later KeepIntermediates run of the same engine refuses those
+// entries and runs their members in full. Both equal cold runs.
+func TestLoadedEntriesServeWithoutRawSets(t *testing.T) {
+	lat := lattice.Default()
+	src := corpus.GenerateWithPrefix("lazyraw", "", 43, 1000).Source
+	twin := corpus.GenerateWithPrefix("lazyraw", "tw_", 43, 1000).Source
+	eng0 := NewEngine(0, 0)
+	eng0.Infer(asm.MustParse(src), lat, nil, DefaultOptions())
+	eng := loadBytes(t, saveBytes(t, eng0))
+
+	lean := DefaultOptions()
+	lean.KeepIntermediates = false
+	res := eng.Infer(asm.MustParse(twin), lat, nil, lean)
+	if res.BodyDedupCrossHits == 0 {
+		t.Fatal("run without raw sets served nothing from the loaded entries")
+	}
+	if dumpAll(res) != dumpAll(Infer(asm.MustParse(twin), lat, nil, lean)) {
+		t.Error("output without raw sets differs from a cold run")
+	}
+	_, _, entries := heldBlobs(eng)
+	for _, e := range entries {
+		if e != nil && e.raw != nil {
+			t.Fatal("a run without raw sets decoded one")
+		}
+	}
+	keep := eng.Infer(asm.MustParse(twin), lat, nil, DefaultOptions())
+	if dumpAll(keep) != dumpAll(Infer(asm.MustParse(twin), lat, nil, DefaultOptions())) {
+		t.Error("KeepIntermediates output after a run without raw sets differs from a cold run")
+	}
+}
+
+// TestLoadedEntriesConcurrentServeAndSave: two concurrent runs of
+// renamed twins of a cached program, on one loaded engine, race to
+// decode the same entries while a third goroutine saves the cache.
+// Both outputs equal cold runs and the saved cache loads. Meant for
+// -race.
+func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
+	lat := lattice.Default()
+	opts := DefaultOptions()
+	opts.Workers = 2
+	src := corpus.GenerateWithPrefix("lazyrace", "", 41, 1000).Source
+	twins := []string{
+		corpus.GenerateWithPrefix("lazyrace", "ta_", 41, 1000).Source,
+		corpus.GenerateWithPrefix("lazyrace", "tb_", 41, 1000).Source,
+	}
+	eng0 := NewEngine(0, 0)
+	eng0.Infer(asm.MustParse(src), lat, nil, opts)
+	data := saveBytes(t, eng0)
+
+	eng := loadBytes(t, data)
+	outs := make([]*Result, len(twins))
+	var saved [][]byte
+	var wg sync.WaitGroup
+	for i, tw := range twins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = eng.Infer(asm.MustParse(tw), lat, nil, opts)
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 3 {
+			var buf bytes.Buffer
+			if err := eng.SaveCacheTo(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			saved = append(saved, buf.Bytes())
+		}
+	}()
+	wg.Wait()
+	<-done
+
+	for i, tw := range twins {
+		if outs[i].BodyDedupCrossHits == 0 {
+			t.Errorf("twin %d served nothing from the loaded entries", i)
+		}
+		if dumpAll(outs[i]) != dumpAll(Infer(asm.MustParse(tw), lat, nil, opts)) {
+			t.Errorf("twin %d: output differs from a cold run", i)
+		}
+	}
+	for _, b := range saved {
+		loadBytes(t, b)
+	}
+}

@@ -52,9 +52,14 @@ import (
 // body table has never filed a class (LoadCache's fresh engine; a
 // warmed engine refuses it) — merging two tables would renumber one
 // side's ids and silently corrupt every embedded CalleeClass reference.
-// Entry blobs are length-prefixed so an entry whose sketches reference
-// a lattice not built in this process is skipped whole (the class
-// survives — membership never needs the lattice).
+// Entry blobs are length-prefixed so a load can keep them whole: the
+// loader decodes only class ids and fingerprints (membership needs
+// them) and holds each entry blob, as a slice of the loaded bytes, until
+// its class is first hit. SaveCacheTo writes held blobs back verbatim,
+// so a restart costs the entries it serves, not the ones it carries.
+// A blob that fails to decode on its first hit (corrupt content under
+// a valid checksum, or sketches naming a lattice this process never
+// built) is a miss, and it is dropped rather than saved again.
 
 // cacheMagic identifies a retypd cache file.
 const cacheMagic = "retypd-cache\x00"
@@ -72,12 +77,11 @@ type CacheLoadStats struct {
 	// lattice has not been built in this process (harmless: they could
 	// never be hit here either).
 	SkippedShapeEntries int
-	// BodyClasses and BodyEntries count loaded body-dedup classes and
-	// the published entries they carried.
+	// BodyClasses counts loaded body-dedup classes; BodyEntries counts
+	// the entry blobs they carry. Blobs are decoded on their class's
+	// first hit, not at load, so a blob counted here may still turn out
+	// unusable (a miss, never an error).
 	BodyClasses, BodyEntries int
-	// SkippedBodyEntries counts body entries dropped for an unbuilt
-	// lattice (their classes are kept — membership needs no lattice).
-	SkippedBodyEntries int
 }
 
 // SaveCacheTo writes the engine's cache stack to w.
@@ -126,6 +130,12 @@ func dirOf(path string) string {
 // caches (merging with whatever they already hold; recency of loaded
 // entries is preserved). It verifies the checksum and versions before
 // decoding a single entry.
+//
+// LoadCacheData keeps data: the body section's entry blobs stay slices
+// of it, decoded when first hit and written back verbatim by
+// SaveCacheTo, for as long as the engine lives. The caller must pass
+// bytes it owns and never modify them afterwards (a freshly read file,
+// or a buffer that is not reused).
 func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 	var st CacheLoadStats
 	if len(data) < len(cacheMagic)+sha256.Size {
@@ -164,11 +174,11 @@ func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 	}
 	st.ShapeEntries, st.SkippedShapeEntries = loaded, skipped
 	n += m
-	m, classes, bodyEntries, bodySkipped, err := e.bodies.loadWire(body[n:])
+	m, classes, bodyEntries, err := e.bodies.loadWire(body[n:])
 	if err != nil {
 		return st, err
 	}
-	st.BodyClasses, st.BodyEntries, st.SkippedBodyEntries = classes, bodyEntries, bodySkipped
+	st.BodyClasses, st.BodyEntries = classes, bodyEntries
 	n += m
 	if n != len(body) {
 		return st, fmt.Errorf("solver: %d trailing bytes after cache sections", len(body)-n)
@@ -177,7 +187,8 @@ func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 }
 
 // LoadCache reads a cache file into a fresh engine with the given cache
-// capacities (≤ 0 selects defaults).
+// capacities (≤ 0 selects defaults). The engine keeps the file's bytes
+// (see LoadCacheData).
 func LoadCache(path string, schemeCap, shapeCap int) (*Engine, CacheLoadStats, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -80,7 +80,9 @@ func sccLevels(cg *cfg.CallGraph) [][]int {
 // that into a member→representative readiness edge.
 // Fingerprint items run under the run's panic containment (phase F.0)
 // and the fan-out observes the run context, so classification aborts at
-// an item boundary on fault or cancellation.
+// an item boundary on fault or cancellation. The fan-out also decodes
+// the carried entry blob of each fingerprint's existing class
+// (bodyCache.prefetch), so the sequential walk finds them decoded.
 func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 	plans := make([]*memberPlan, len(cg.SCCs))
 	isProc := func(name string) bool {
@@ -98,6 +100,7 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 					return
 				}
 				fps[i] = bodyfp.Compute(cg.Prog.ProcIndex[scc[0]], pl.dedup.conf, pl.dedup.calleeID)
+				pl.dedup.cache.prefetch(fps[i], pl.dedup.keep)
 			})
 		})
 		if err != nil {

@@ -28,8 +28,10 @@ package retypd
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"retypd/internal/absint"
 	"retypd/internal/asm"
@@ -187,10 +189,15 @@ type Config struct {
 	NoBodyDedup bool
 }
 
-// Result is the inference outcome for a program.
+// Result is the inference outcome for a program. Its methods are safe
+// for concurrent use.
 type Result struct {
 	inner *solver.Result
-	conv  *ctype.Converter
+
+	// convMu guards conv: rendering a signature names recursive structs
+	// (Struct_N) in the converter, so renders serialize.
+	convMu sync.Mutex
+	conv   *ctype.Converter
 }
 
 // ParseAsm parses the textual assembly substrate format.
@@ -298,12 +305,16 @@ func (r *Result) ParamSketch(proc string, idx int) (*Sketch, bool) {
 }
 
 // Signature renders proc's C signature through the display policies of
-// §4.3.
+// §4.3. Recursive struct types are named Struct_0, Struct_1, ... in the
+// order this Result's Signature calls first create them, so a struct's
+// name depends on which signatures were rendered before it.
 func (r *Result) Signature(proc string) *Signature {
 	p, ok := r.inner.Procs[proc]
 	if !ok {
 		return nil
 	}
+	r.convMu.Lock()
+	defer r.convMu.Unlock()
 	sig := &Signature{Name: proc, Ret: ctype.Prim("void")}
 	for _, l := range p.FormalIns {
 		loc := l.ParamName()
@@ -326,9 +337,14 @@ func (r *Result) Signature(proc string) *Signature {
 	return sig
 }
 
-// Typedefs returns the named struct typedefs created while rendering
-// signatures (recursive types, Figure 2's Struct_0).
-func (r *Result) Typedefs() []*CType { return r.conv.Structs }
+// Typedefs returns the named struct typedefs created so far while
+// rendering signatures (recursive types, Figure 2's Struct_0), in
+// Struct_N order.
+func (r *Result) Typedefs() []*CType {
+	r.convMu.Lock()
+	defer r.convMu.Unlock()
+	return slices.Clone(r.conv.Structs)
+}
 
 // NumParams reports the number of recovered formal parameters.
 func (r *Result) NumParams(proc string) int {

@@ -1,8 +1,12 @@
 package retypd
 
 import (
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
+
+	"retypd/internal/corpus"
 )
 
 const closeLastAsm = `
@@ -66,6 +70,54 @@ func TestFigure2Signature(t *testing.T) {
 	}
 	if !res.IsConstParam("close_last", 0) {
 		t.Error("IsConstParam should report the parameter const")
+	}
+}
+
+// TestResultConcurrentRender: four goroutines render one Result at
+// once (Signature, Typedefs and their strings). Renders share the
+// Result's struct-naming converter; under -race this pins its guard.
+// Every render gives a sequential render's signatures up to Struct_N
+// numbering, which follows call order, and adds its own typedefs.
+func TestResultConcurrentRender(t *testing.T) {
+	prog := MustParseAsm(closeLastAsm + corpus.Generate("render", 5, 1500).Source)
+	structN := regexp.MustCompile(`Struct_[0-9]+`)
+	// render returns r's signatures, rendering its typedefs on the way.
+	render := func(r *Result) string {
+		var b strings.Builder
+		for _, p := range r.ProcNames() {
+			b.WriteString(r.Signature(p).String() + "\n")
+		}
+		for _, td := range r.Typedefs() {
+			_ = td.String()
+		}
+		return structN.ReplaceAllString(b.String(), "Struct_N")
+	}
+	ref := Infer(prog, nil)
+	want := render(ref)
+	perRender := len(ref.Typedefs())
+	if perRender == 0 {
+		t.Fatal("program renders no typedefs; the test needs recursive structs")
+	}
+
+	res := Infer(prog, nil)
+	const renders = 4
+	got := make([]string, renders)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render(res)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want {
+			t.Errorf("render %d differs from a sequential render", i)
+		}
+	}
+	if n := len(res.Typedefs()); n != renders*perRender {
+		t.Errorf("%d typedefs after %d renders, want %d", n, renders, renders*perRender)
 	}
 }
 

@@ -13,8 +13,10 @@
 #   2. Speedup: binary #2's inference against binary #1's persisted
 #      cache must be at least `threshold`× faster than binary #1 cold
 #      (eval.RunFleet: median of 5 trials each, fresh engine per trial,
-#      cache decode outside the timer — a serving process pays that
-#      once per restart, the analysis once per binary). If the table
+#      cache load outside the timer — a serving process pays that once
+#      per restart, the analysis once per binary). Body-class entries
+#      are decoded on their first hit, so the timer does cover decoding
+#      the entries binary #2 hits. If the table
 #      stops serving across program boundaries — a fingerprint that
 #      absorbs the procedure name, a table that never persists — the
 #      renamed shared library recomputes and the ratio collapses to ~1.
