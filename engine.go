@@ -181,7 +181,10 @@ func LoadSession(path string, cfg *Config) (*Engine, error) {
 // engine instead). Composes with LoadSession: load the session to get
 // the replay baseline, then merge the cache so recomputed procedures
 // still hit the memo stack. Like LoadCache, the engine keeps the file's
-// bytes for first-hit decoding of body-class entries.
+// bytes for first-hit decoding of body-class entries. An engine that has
+// already inferred with body dedup on has filed body classes of its
+// own: it refuses the file with an error and its caches stay as they
+// were.
 func (e *Engine) LoadCacheFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

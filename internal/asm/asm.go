@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Reg is a 32-bit general-purpose register.
@@ -45,10 +47,23 @@ func (r Reg) String() string {
 
 // ParseReg parses a register name.
 func ParseReg(s string) (Reg, bool) {
-	for i, n := range regNames {
-		if n == s {
-			return Reg(i), true
-		}
+	switch s {
+	case "eax":
+		return EAX, true
+	case "ebx":
+		return EBX, true
+	case "ecx":
+		return ECX, true
+	case "edx":
+		return EDX, true
+	case "esi":
+		return ESI, true
+	case "edi":
+		return EDI, true
+	case "ebp":
+		return EBP, true
+	case "esp":
+		return ESP, true
 	}
 	return NoReg, false
 }
@@ -240,13 +255,6 @@ func (p *Program) NumInsts() int {
 	return n
 }
 
-// conditional mnemonics accepted by the parser.
-var condNames = map[string]bool{
-	"jz": true, "jnz": true, "je": true, "jne": true, "jl": true,
-	"jle": true, "jg": true, "jge": true, "ja": true, "jae": true,
-	"jb": true, "jbe": true, "js": true, "jns": true,
-}
-
 // ParseError is a structured parse failure: Line is the 1-based source
 // line the error is anchored to (0 when the failure is not tied to one,
 // like a missing endproc), Msg the bare message. It renders as the
@@ -282,37 +290,71 @@ func parseErrf(line int, format string, args ...any) *ParseError {
 //	endproc
 //
 // Labels end with ':'. Numbers may be decimal or 0x-prefixed hex.
+//
+// Parse is one pass over src: lines are cut with IndexByte and
+// tokenised in place, so procedure names, label keys and jump/call
+// targets are substrings of src, which the Program keeps alive. Each
+// procedure's instructions are collected in a scratch slice and copied
+// into an exact-size Insts of its own at endproc, so a Proc retained
+// past its Program pins only its own instructions. Whitespace is what
+// strings.Fields and strings.TrimSpace take it to be (unicode.IsSpace),
+// except that a mnemonic ends at the first ASCII space or tab.
 func Parse(src string) (*Program, error) {
 	prog := &Program{ProcIndex: map[string]*Proc{}}
-	var cur *Proc
-	lineNo := 0
-	for _, raw := range strings.Split(src, "\n") {
-		lineNo++
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
+	var (
+		cur    *Proc
+		insts  []Inst     // cur's instructions so far
+		labels []labelDef // cur's labels so far, in source order
+	)
+	semi := -1 // index of the first ';' at or after pos (len(src) if none)
+	for pos, lineNo := 0, 1; pos <= len(src); lineNo++ {
+		end := strings.IndexByte(src[pos:], '\n')
+		if end < 0 {
+			end = len(src)
+		} else {
+			end += pos
 		}
-		line = strings.TrimSpace(line)
+		if semi < pos {
+			if semi = strings.IndexByte(src[pos:], ';'); semi < 0 {
+				semi = len(src)
+			} else {
+				semi += pos
+			}
+		}
+		line := strings.TrimSpace(src[pos:min(end, semi)])
+		pos = end + 1
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "proc":
+		// The line's first field decides its kind; only directives and
+		// labels need it cut out.
+		switch {
+		case isKeyword(line, "proc"):
 			if cur != nil {
 				return nil, parseErrf(lineNo, "nested proc")
 			}
-			if len(fields) < 2 {
+			_, tail := cutField(line)
+			if tail == "" {
 				return nil, parseErrf(lineNo, "proc needs a name")
 			}
-			cur = &Proc{Name: fields[1], Labels: map[string]int{}}
+			name, _ := cutField(tail)
+			cur = &Proc{Name: name}
+			insts, labels = insts[:0], labels[:0]
 			continue
-		case "endproc":
+		case isKeyword(line, "endproc"):
 			if cur == nil {
 				return nil, parseErrf(lineNo, "endproc outside proc")
 			}
 			if prog.ProcIndex[cur.Name] != nil {
 				return nil, parseErrf(lineNo, "duplicate proc %q", cur.Name)
+			}
+			if len(insts) > 0 {
+				cur.Insts = make([]Inst, len(insts))
+				copy(cur.Insts, insts)
+			}
+			cur.Labels = make(map[string]int, len(labels))
+			for _, l := range labels {
+				cur.Labels[l.name] = l.idx
 			}
 			prog.Procs = append(prog.Procs, cur)
 			prog.ProcIndex[cur.Name] = cur
@@ -322,15 +364,17 @@ func Parse(src string) (*Program, error) {
 		if cur == nil {
 			return nil, parseErrf(lineNo, "instruction outside proc: %q", line)
 		}
-		if strings.HasSuffix(fields[0], ":") && len(fields) == 1 {
-			cur.Labels[strings.TrimSuffix(fields[0], ":")] = len(cur.Insts)
-			continue
+		if line[len(line)-1] == ':' {
+			if head, tail := cutField(line); tail == "" {
+				labels = append(labels, labelDef{name: head[:len(head)-1], idx: len(insts)})
+				continue
+			}
 		}
 		inst, err := parseInst(line)
 		if err != nil {
 			return nil, parseErrf(lineNo, "%v", err)
 		}
-		cur.Insts = append(cur.Insts, inst)
+		insts = append(insts, inst)
 	}
 	if cur != nil {
 		return nil, parseErrf(0, "missing endproc for %q", cur.Name)
@@ -348,6 +392,12 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// labelDef is a label of the procedure being parsed.
+type labelDef struct {
+	name string
+	idx  int
+}
+
 // MustParse panics on error; for statically known sources.
 func MustParse(src string) *Program {
 	p, err := Parse(src)
@@ -357,23 +407,88 @@ func MustParse(src string) *Program {
 	return p
 }
 
-func parseInst(line string) (Inst, error) {
-	sp := strings.IndexAny(line, " \t")
-	mnemonic := line
-	rest := ""
-	if sp >= 0 {
-		mnemonic = line[:sp]
-		rest = strings.TrimSpace(line[sp:])
+// spaceAt decodes the rune at s[i], reporting whether it is whitespace
+// (unicode.IsSpace, the notion strings.Fields and strings.TrimSpace
+// use) and its width in bytes.
+func spaceAt(s string, i int) (bool, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return asciiSpace[c], 1
 	}
-	args := splitArgs(rest)
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), w
+}
 
-	if condNames[mnemonic] {
-		if len(args) != 1 {
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// isKeyword reports whether kw is the first field of s, a trimmed
+// non-empty line.
+func isKeyword(s, kw string) bool {
+	if s[0] != kw[0] || !strings.HasPrefix(s, kw) {
+		return false
+	}
+	if len(s) == len(kw) {
+		return true
+	}
+	sp, _ := spaceAt(s, len(kw))
+	return sp
+}
+
+// cutField splits s, which starts with a non-space, at its first
+// whitespace rune: head is strings.Fields(s)[0] and tail is the rest
+// of s with its leading whitespace removed, so tail is empty exactly
+// when s is a single field.
+func cutField(s string) (head, tail string) {
+	i := 0
+	for i < len(s) {
+		sp, w := spaceAt(s, i)
+		if sp {
+			break
+		}
+		i += w
+	}
+	head = s[:i]
+	for i < len(s) {
+		sp, w := spaceAt(s, i)
+		if !sp {
+			break
+		}
+		i += w
+	}
+	return head, s[i:]
+}
+
+// parseInst parses one trimmed, comment-free instruction line. The
+// mnemonic ends at the first space or tab; the operands are the
+// comma-separated, whitespace-trimmed pieces of the rest.
+func parseInst(line string) (Inst, error) {
+	mnemonic, rest := line, ""
+	for i := 0; i < len(line); i++ {
+		if line[i] == ' ' || line[i] == '\t' {
+			mnemonic, rest = line[:i], strings.TrimSpace(line[i:])
+			break
+		}
+	}
+	// nargs counts the comma-separated operands (capped at 3: every
+	// mnemonic takes at most 2); a0 and a1 are the first two.
+	nargs := 0
+	var a0, a1 string
+	if rest != "" {
+		nargs, a0 = 1, rest
+		if c := strings.IndexByte(rest, ','); c >= 0 {
+			nargs, a0, a1 = 2, strings.TrimSpace(rest[:c]), strings.TrimSpace(rest[c+1:])
+			if strings.IndexByte(rest[c+1:], ',') >= 0 {
+				nargs = 3
+			}
+		}
+	}
+
+	var op Op
+	switch mnemonic {
+	case "jz", "jnz", "je", "jne", "jl", "jle", "jg", "jge", "ja", "jae", "jb", "jbe", "js", "jns":
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("%s needs a label", mnemonic)
 		}
-		return Inst{Op: JCC, Target: args[0], Cond: mnemonic}, nil
-	}
-	switch mnemonic {
+		return Inst{Op: JCC, Target: a0, Cond: mnemonic}, nil
 	case "nop":
 		return Inst{Op: NOP}, nil
 	case "ret":
@@ -381,40 +496,36 @@ func parseInst(line string) (Inst, error) {
 	case "leave":
 		return Inst{Op: LEAVE}, nil
 	case "jmp":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("jmp needs a target")
 		}
-		return Inst{Op: JMP, Target: args[0]}, nil
+		return Inst{Op: JMP, Target: a0}, nil
 	case "call":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("call needs a target")
 		}
-		return Inst{Op: CALL, Target: args[0]}, nil
+		return Inst{Op: CALL, Target: a0}, nil
 	case "push":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("push needs an operand")
 		}
-		op, err := parseOperand(args[0])
+		o, err := parseOperand(a0)
 		if err != nil {
 			return Inst{}, err
 		}
-		return Inst{Op: PUSH, Src: op}, nil
+		return Inst{Op: PUSH, Src: o}, nil
 	case "pop":
-		if len(args) != 1 {
+		if nargs != 1 {
 			return Inst{}, fmt.Errorf("pop needs a register")
 		}
-		op, err := parseOperand(args[0])
+		o, err := parseOperand(a0)
 		if err != nil {
 			return Inst{}, err
 		}
-		if op.Kind != OpReg {
+		if o.Kind != OpReg {
 			return Inst{}, fmt.Errorf("pop needs a register")
 		}
-		return Inst{Op: POP, Dst: op}, nil
-	}
-
-	var op Op
-	switch mnemonic {
+		return Inst{Op: POP, Dst: o}, nil
 	case "mov":
 		op = MOV
 	case "movb":
@@ -446,14 +557,14 @@ func parseInst(line string) (Inst, error) {
 	default:
 		return Inst{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	if len(args) != 2 {
+	if nargs != 2 {
 		return Inst{}, fmt.Errorf("%s needs 2 operands", mnemonic)
 	}
-	dst, err := parseOperand(args[0])
+	dst, err := parseOperand(a0)
 	if err != nil {
 		return Inst{}, err
 	}
-	src, err := parseOperand(args[1])
+	src, err := parseOperand(a1)
 	if err != nil {
 		return Inst{}, err
 	}
@@ -466,22 +577,9 @@ func parseInst(line string) (Inst, error) {
 	return Inst{Op: op, Dst: dst, Src: src}, nil
 }
 
-func splitArgs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
 func parseOperand(s string) (Operand, error) {
 	if strings.HasPrefix(s, "[") && strings.HasSuffix(s, "]") {
-		body := s[1 : len(s)-1]
-		body = strings.ReplaceAll(body, " ", "")
+		body := strings.ReplaceAll(s[1:len(s)-1], " ", "")
 		sign := int32(1)
 		var regPart, numPart string
 		if i := strings.IndexByte(body, '+'); i >= 0 {

@@ -39,6 +39,10 @@ func fuzzAsmSeeds() [][]byte {
 		"proc f\n  mov eax, [ebp+\n  ret\nendproc\n",
 		"proc f\n  ret\n",
 		"endproc\n",
+		// Non-ASCII and control whitespace, where the single-pass
+		// scanner must keep strings.Fields/TrimSpace semantics.
+		"proc\u00a0f\n\u2003mov eax,\u3000ebx\r\nl:\u2000\n  jz l\n  ret\vx\nendproc\n",
+		"proc f\n  mov\u00a0eax, ebx\n  ret\nendproc\n",
 	}
 	out := make([][]byte, len(srcs))
 	for i, s := range srcs {
@@ -48,7 +52,9 @@ func fuzzAsmSeeds() [][]byte {
 }
 
 // FuzzParseAsm: arbitrary source must either parse or fail with a
-// structured *ParseError — never panic, never return both nil. The
+// structured *ParseError — never panic, never return both nil — and
+// Parse must agree with referenceParse, the parser it replaced: a
+// deeply equal Program, or the same error line and message. The
 // parser is a trust boundary for the future server, so every rejection
 // must be a typed, line-anchored error a caller can render. Accepted
 // programs must be internally consistent (every JCC target resolved,
@@ -58,6 +64,7 @@ func FuzzParseAsm(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSameAsReference(t, string(data))
 		prog, err := Parse(string(data))
 		if err != nil {
 			if prog != nil {

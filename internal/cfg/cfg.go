@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 
 	"retypd/internal/asm"
 )
@@ -48,7 +49,7 @@ func (l Loc) String() string {
 // parameters), matching the paper's instack0 notation.
 func (l Loc) ParamName() string {
 	if l.IsSlot {
-		return fmt.Sprintf("stack%d", l.Slot-4)
+		return "stack" + strconv.Itoa(int(l.Slot-4))
 	}
 	return l.Reg.String()
 }

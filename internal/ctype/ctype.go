@@ -19,7 +19,9 @@
 package ctype
 
 import (
-	"fmt"
+	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,6 +64,10 @@ type Type struct {
 	Tags []string
 	// Bits is the scalar width for KPrim/KUnknown (0 = 32).
 	Bits int
+
+	// mark is the Converter's cycle-naming walk state for this node
+	// (see nameCycles).
+	mark uint8
 }
 
 // Field is a struct member.
@@ -169,182 +175,292 @@ func CName(name string) string {
 
 // String renders the type as a C type expression (without a declarator
 // name).
-func (t *Type) String() string { return t.render(map[*Type]bool{}) }
+func (t *Type) String() string {
+	var b strings.Builder
+	var path [8]*Type
+	t.write(&b, path[:0])
+	return b.String()
+}
 
-func (t *Type) render(onPath map[*Type]bool) string {
+// write renders t into b. path holds the pointer and struct nodes
+// being rendered above t, so that a cycle through them renders as a
+// back reference instead of recursing forever.
+func (t *Type) write(b *strings.Builder, path []*Type) {
 	if t == nil {
-		return "void"
+		b.WriteString("void")
+		return
 	}
 	prefix := ""
 	if t.Const {
 		prefix = "const "
 	}
-	tagSuffix := ""
-	if len(t.Tags) > 0 {
-		tagSuffix = " /* " + strings.Join(t.Tags, " ") + " */"
-	}
 	switch t.Kind {
 	case KPrim:
-		return prefix + CName(t.Name) + tagSuffix
+		b.WriteString(prefix)
+		b.WriteString(CName(t.Name))
 	case KUnknown:
+		b.WriteString(prefix)
 		switch t.Bits {
 		case 8:
-			return prefix + "uint8_t" + tagSuffix
+			b.WriteString("uint8_t")
 		case 16:
-			return prefix + "uint16_t" + tagSuffix
+			b.WriteString("uint16_t")
 		default:
-			return prefix + "int" + tagSuffix // IdaPro-style fallback
+			b.WriteString("int") // IdaPro-style fallback
 		}
 	case KPtr:
-		if t.Elem != nil && t.Elem.Kind == KStruct && t.Elem.Name != "" {
-			return prefix + t.Elem.Name + " *" + tagSuffix
+		b.WriteString(prefix)
+		switch {
+		case t.Elem != nil && t.Elem.Kind == KStruct && t.Elem.Name != "":
+			b.WriteString(t.Elem.Name)
+		case slices.Contains(path, t):
+			b.WriteString("void") // pointer cycle with no struct
+		default:
+			t.Elem.write(b, append(path, t))
 		}
-		if onPath[t] {
-			return prefix + "void *" + tagSuffix // pointer cycle with no struct
-		}
-		onPath[t] = true
-		defer delete(onPath, t)
-		return prefix + t.Elem.render(onPath) + " *" + tagSuffix
+		b.WriteString(" *")
 	case KStruct:
-		if onPath[t] {
+		if slices.Contains(path, t) {
 			if t.Name != "" {
-				return t.Name
+				b.WriteString(t.Name)
+			} else {
+				b.WriteString("struct /* recursive */")
 			}
-			return "struct /* recursive */"
+			return
 		}
-		onPath[t] = true
-		defer delete(onPath, t)
-		var b strings.Builder
-		b.WriteString(prefix + "struct ")
+		path = append(path, t)
+		b.WriteString(prefix)
+		b.WriteString("struct ")
 		if t.Name != "" {
-			b.WriteString(t.Name + " ")
+			b.WriteString(t.Name)
+			b.WriteByte(' ')
 		}
 		b.WriteString("{ ")
 		for _, f := range t.Fields {
-			fmt.Fprintf(&b, "%s field_%d; ", f.Type.render(onPath), f.Off)
+			f.Type.write(b, path)
+			b.WriteString(" field_")
+			b.WriteString(strconv.Itoa(f.Off))
+			b.WriteString("; ")
 		}
-		b.WriteString("}")
-		return b.String() + tagSuffix
+		b.WriteByte('}')
 	case KUnion:
-		var parts []string
+		b.WriteString(prefix)
+		b.WriteString("union { ")
 		for i, m := range t.Members {
-			parts = append(parts, fmt.Sprintf("%s alt_%d;", m.render(onPath), i))
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			m.write(b, path)
+			b.WriteString(" alt_")
+			b.WriteString(strconv.Itoa(i))
+			b.WriteByte(';')
 		}
-		return prefix + "union { " + strings.Join(parts, " ") + " }" + tagSuffix
+		b.WriteString(" }")
 	case KFunc:
-		var ps []string
-		for _, p := range t.Params {
-			ps = append(ps, p.render(onPath))
+		t.Ret.write(b, path)
+		b.WriteString(" (*)(")
+		if len(t.Params) == 0 {
+			b.WriteString("void")
 		}
-		if len(ps) == 0 {
-			ps = []string{"void"}
+		for i, p := range t.Params {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			p.write(b, path)
 		}
-		return fmt.Sprintf("%s (*)(%s)%s", t.Ret.render(onPath), strings.Join(ps, ", "), tagSuffix)
+		b.WriteByte(')')
 	default:
-		return "?"
+		b.WriteByte('?')
+		return
+	}
+	if len(t.Tags) > 0 {
+		b.WriteString(" /* ")
+		for i, tag := range t.Tags {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(tag)
+		}
+		b.WriteString(" */")
 	}
 }
 
 // Converter turns sketches into C types, accumulating named struct
-// typedefs for recursive types.
+// typedefs for recursive types. A Converter is not safe for concurrent
+// use: every conversion runs in its reused scratch.
 type Converter struct {
 	Lat *lattice.Lattice
 	// Structs lists the named struct types created so far, in creation
 	// order.
 	Structs []*Type
-	memo    map[string]*Type
 	nameN   int
+
+	// sk is the sketch being converted; vars holds the display
+	// variance of each of its states reachable from the conversion
+	// root, and active the node under construction for each state on
+	// the current conversion path (nil elsewhere, so all-nil between
+	// conversions).
+	sk     *sketch.Sketch
+	vars   []label.Variance
+	active []*Type
+	// seen and stack are the variance walk's scratch.
+	seen  []bool
+	stack []int
+	// edges is a stack of the in-edge and field-edge lists being
+	// converted, one sorted segment per open function or struct.
+	edges []sketch.Edge
+	// scalars is scalar's scratch.
+	scalars []lattice.Elem
+	// path is nameCycles' scratch: the walk's current path.
+	path []*Type
 }
 
 // NewConverter makes a converter over lat.
 func NewConverter(lat *lattice.Lattice) *Converter {
-	return &Converter{Lat: lat, memo: map[string]*Type{}}
+	return &Converter{Lat: lat}
 }
 
 // FromSketch converts the sketch rooted at state 0.
-func (c *Converter) FromSketch(sk *sketch.Sketch) *Type {
-	t := c.convert(sk, 0, map[int]*Type{}, 32)
-	c.nameCycles(t, map[*Type]bool{}, map[*Type]bool{})
-	return t
-}
+func (c *Converter) FromSketch(sk *sketch.Sketch) *Type { return c.FromState(sk, 0) }
 
 // ConvertParam converts a parameter sketch, applying the const policy
 // (Example 4.1) at its root. The root is display-converted in
 // contravariant position (function inputs prefer upper bounds, §3.5),
 // and the returned node is a copy so that const does not leak into
 // other references to a shared recursive type.
-func (c *Converter) ConvertParam(sk *sketch.Sketch) *Type {
-	// Copy-on-write: sk may be shared (a cache-served sketch is sealed
-	// and read concurrently), so the contravariant root view is a fresh
-	// derivation, never an in-place flip-and-restore.
-	sk = sk.WithRootVariance(label.Contravariant)
-	t := c.FromSketch(sk)
-	probe := *t
-	c.applyConst(sk, 0, &probe)
-	if probe.Const != t.Const {
-		return &probe
+func (c *Converter) ConvertParam(sk *sketch.Sketch) *Type { return c.ParamFromState(sk, 0) }
+
+// FromState converts the sub-sketch of sk rooted at state root: the
+// type FromSketch gives for sk.Descend(w), w any word reaching root,
+// without materialising that sketch. sk is only read, so it may be a
+// sealed, shared one.
+func (c *Converter) FromState(sk *sketch.Sketch, root int) *Type {
+	return c.fromState(sk, root, false)
+}
+
+// ParamFromState is ConvertParam for the sub-sketch of sk rooted at
+// state root, the counterpart of FromState.
+func (c *Converter) ParamFromState(sk *sketch.Sketch, root int) *Type {
+	t := c.fromState(sk, root, true)
+	if t.Kind == KPtr && !t.Const && loadOnly(&sk.States[root]) {
+		p := *t
+		p.Const = true
+		return &p
 	}
 	return t
+}
+
+func (c *Converter) fromState(sk *sketch.Sketch, root int, param bool) *Type {
+	c.sk = sk
+	c.setVariances(root, param)
+	if n := len(sk.States); len(c.active) < n {
+		c.active = make([]*Type, n)
+	}
+	t := c.convert(root, 32)
+	c.sk = nil
+	c.nameCycles(t)
+	return t
+}
+
+// setVariances fills vars with the variances Descend would give the
+// sub-sketch at root: the stored ones when root is the sketch's own
+// root, otherwise recomputeVariance's walk — depth-first from a
+// covariant root, the first variance found winning — over the states
+// reachable from root. A parameter view then takes its root as
+// contravariant, as WithRootVariance does.
+func (c *Converter) setVariances(root int, param bool) {
+	states := c.sk.States
+	c.vars = slices.Grow(c.vars[:0], len(states))[:len(states)]
+	if root == 0 {
+		for i := range states {
+			c.vars[i] = states[i].Variance
+		}
+	} else {
+		c.seen = slices.Grow(c.seen[:0], len(states))[:len(states)]
+		clear(c.seen)
+		c.seen[root] = true
+		c.vars[root] = label.Covariant
+		c.stack = append(c.stack[:0], root)
+		for len(c.stack) > 0 {
+			st := c.stack[len(c.stack)-1]
+			c.stack = c.stack[:len(c.stack)-1]
+			for _, e := range states[st].Edges {
+				if !c.seen[e.To] {
+					c.seen[e.To] = true
+					c.vars[e.To] = c.vars[st].Mul(e.Label.Variance())
+					c.stack = append(c.stack, e.To)
+				}
+			}
+		}
+	}
+	if param {
+		c.vars[root] = label.Contravariant
+	}
 }
 
 // nameCycles assigns typedef names to structs participating in type
 // cycles (the reroll policy's output form, Example G.3) so that
 // rendering terminates with a named back reference. On a back edge the
-// first struct on the cycle segment is named.
-func (c *Converter) nameCycles(t *Type, onPath, done map[*Type]bool) {
-	var path []*Type
-	index := map[*Type]int{}
-	var walk func(t *Type)
-	walk = func(t *Type) {
-		if t == nil || done[t] {
-			return
-		}
-		if i, on := index[t]; on {
-			for _, n := range path[i:] {
-				if n.Kind == KStruct {
-					if n.Name == "" {
-						c.nameStruct(n)
-					}
-					return
-				}
-			}
-			return
-		}
-		index[t] = len(path)
-		path = append(path, t)
-		switch t.Kind {
-		case KPtr:
-			walk(t.Elem)
-		case KStruct:
-			for _, f := range t.Fields {
-				walk(f.Type)
-			}
-		case KUnion:
-			for _, m := range t.Members {
-				walk(m)
-			}
-		case KFunc:
-			for _, p := range t.Params {
-				walk(p)
-			}
-			walk(t.Ret)
-		}
-		path = path[:len(path)-1]
-		delete(index, t)
-		done[t] = true
+// first struct on the cycle segment is named. Every node reachable
+// from t was allocated by the conversion that built t, so all start
+// unwalked; the walk marks them on its path, then done.
+func (c *Converter) nameCycles(t *Type) {
+	c.walk(t)
+	clear(c.path[:cap(c.path)])
+}
+
+// Type.mark values of the nameCycles walk.
+const (
+	unwalked uint8 = iota
+	onPath
+	walked
+)
+
+func (c *Converter) walk(t *Type) {
+	if t == nil || t.mark == walked {
+		return
 	}
-	walk(t)
+	if t.mark == onPath {
+		i := len(c.path) - 1
+		for c.path[i] != t {
+			i--
+		}
+		for _, n := range c.path[i:] {
+			if n.Kind == KStruct {
+				if n.Name == "" {
+					c.nameStruct(n)
+				}
+				return
+			}
+		}
+		return
+	}
+	t.mark = onPath
+	c.path = append(c.path, t)
+	switch t.Kind {
+	case KPtr:
+		c.walk(t.Elem)
+	case KStruct:
+		for _, f := range t.Fields {
+			c.walk(f.Type)
+		}
+	case KUnion:
+		for _, m := range t.Members {
+			c.walk(m)
+		}
+	case KFunc:
+		for _, p := range t.Params {
+			c.walk(p)
+		}
+		c.walk(t.Ret)
+	}
+	c.path = c.path[:len(c.path)-1]
+	t.mark = walked
 }
 
-// FromSketchState converts a specific state (width hints the scalar
-// size in bits).
-func (c *Converter) FromSketchState(sk *sketch.Sketch, st int, bits int) *Type {
-	return c.convert(sk, st, map[int]*Type{}, bits)
-}
-
-// convert implements the conversion policy tree.
-func (c *Converter) convert(sk *sketch.Sketch, st int, active map[int]*Type, bits int) *Type {
-	if t, ok := active[st]; ok {
+// convert implements the conversion policy tree for state st of c.sk.
+func (c *Converter) convert(st int, bits int) *Type {
+	if t := c.active[st]; t != nil {
 		// Recursive back reference: ensure the target is a named
 		// struct.
 		if t.Kind == KStruct && t.Name == "" {
@@ -352,95 +468,128 @@ func (c *Converter) convert(sk *sketch.Sketch, st int, active map[int]*Type, bit
 		}
 		return t
 	}
-	node := &sk.States[st]
+	node := &c.sk.States[st]
 
-	// Function capability dominates.
-	var ins, outs []sketch.Edge
-	var loads, stores []sketch.Edge
-	var fields []sketch.Edge
+	// One pass classifies the edges: function capability dominates,
+	// then pointer (the first load edge, else the first store edge),
+	// then a bare struct.
+	nIns, nFields := 0, 0
+	outTo, loadTo, storeTo := -1, -1, -1
 	for _, e := range node.Edges {
 		switch e.Label.Kind() {
 		case label.KIn:
-			ins = append(ins, e)
+			nIns++
 		case label.KOut:
-			outs = append(outs, e)
+			if outTo < 0 {
+				outTo = e.To
+			}
 		case label.KLoad:
-			loads = append(loads, e)
+			if loadTo < 0 {
+				loadTo = e.To
+			}
 		case label.KStore:
-			stores = append(stores, e)
+			if storeTo < 0 {
+				storeTo = e.To
+			}
 		case label.KField:
-			fields = append(fields, e)
+			nFields++
 		}
 	}
 
-	if len(ins) > 0 || len(outs) > 0 {
+	if nIns > 0 || outTo >= 0 {
 		ft := &Type{Kind: KFunc, Ret: Prim("void")}
-		active[st] = ft
-		defer delete(active, st)
-		sortInEdges(ins)
-		for _, e := range ins {
-			p := c.convert(sk, e.To, active, 32)
-			probe := *p
-			c.applyConst(sk, e.To, &probe)
-			if probe.Const != p.Const {
-				p = &probe
+		c.active[st] = ft
+		base := len(c.edges)
+		for _, e := range node.Edges {
+			if e.Label.Kind() == label.KIn {
+				c.edges = append(c.edges, e)
+			}
+		}
+		slices.SortFunc(c.edges[base:], compareParams)
+		if nIns > 0 {
+			ft.Params = make([]*Type, 0, nIns)
+		}
+		for i := base; i < base+nIns; i++ {
+			to := c.edges[i].To // re-read: the recursion may grow c.edges
+			p := c.convert(to, 32)
+			if p.Kind == KPtr && !p.Const && loadOnly(&c.sk.States[to]) {
+				q := *p
+				q.Const = true
+				p = &q
 			}
 			ft.Params = append(ft.Params, p)
 		}
-		if len(outs) > 0 {
-			ft.Ret = c.convert(sk, outs[0].To, active, 32)
+		c.edges = c.edges[:base]
+		if outTo >= 0 {
+			ft.Ret = c.convert(outTo, 32)
 		}
+		c.active[st] = nil
 		return ft
 	}
 
-	if len(loads) > 0 || len(stores) > 0 {
+	if loadTo >= 0 || storeTo >= 0 {
 		pt := &Type{Kind: KPtr}
-		active[st] = pt
-		defer delete(active, st)
-		inner := loads
-		inner = append(inner, stores...)
-		pt.Elem = c.pointee(sk, inner[0].To, active)
+		c.active[st] = pt
+		if loadTo < 0 {
+			loadTo = storeTo
+		}
+		pt.Elem = c.pointee(loadTo)
+		c.active[st] = nil
 		return pt
 	}
 
-	if len(fields) > 0 {
+	if nFields > 0 {
 		// A bare struct (e.g. a frame region's contents).
-		return c.structOf(sk, st, fields, active)
+		return c.structOf(st, nFields)
 	}
 
-	return c.scalar(sk, st, bits)
+	return c.scalar(st, bits)
 }
 
 // pointee converts the target of a load/store edge: if it carries σ
-// fields it is a struct; a lone 32-bit field at offset 0 collapses to
-// the field's own type.
-func (c *Converter) pointee(sk *sketch.Sketch, st int, active map[int]*Type) *Type {
-	node := &sk.States[st]
-	var fields []sketch.Edge
-	for _, e := range node.Edges {
+// fields it is a struct; a lone field at offset 0 collapses to the
+// field's own type.
+func (c *Converter) pointee(st int) *Type {
+	nFields := 0
+	var only sketch.Edge
+	for _, e := range c.sk.States[st].Edges {
 		if e.Label.Kind() == label.KField {
-			fields = append(fields, e)
+			if nFields == 0 {
+				only = e
+			}
+			nFields++
 		}
 	}
-	if len(fields) == 0 {
-		return c.scalar(sk, st, 32)
+	switch {
+	case nFields == 0:
+		return c.scalar(st, 32)
+	case nFields == 1 && only.Label.Offset() == 0:
+		return c.convert(only.To, only.Label.Bits())
 	}
-	if len(fields) == 1 && fields[0].Label.Offset() == 0 {
-		return c.convert(sk, fields[0].To, active, fields[0].Label.Bits())
-	}
-	return c.structOf(sk, st, fields, active)
+	return c.structOf(st, nFields)
 }
 
-// structOf assembles a struct type from σN@k edges.
-func (c *Converter) structOf(sk *sketch.Sketch, st int, fields []sketch.Edge, active map[int]*Type) *Type {
-	t := &Type{Kind: KStruct}
-	active[st] = t
-	defer delete(active, st)
-	sort.Slice(fields, func(i, j int) bool { return fields[i].Label.Offset() < fields[j].Label.Offset() })
-	for _, e := range fields {
-		ft := c.convert(sk, e.To, active, e.Label.Bits())
+// structOf assembles a struct type from the nFields σN@k edges of st,
+// in offset order.
+func (c *Converter) structOf(st, nFields int) *Type {
+	t := &Type{Kind: KStruct, Fields: make([]Field, 0, nFields)}
+	c.active[st] = t
+	base := len(c.edges)
+	for _, e := range c.sk.States[st].Edges {
+		if e.Label.Kind() == label.KField {
+			c.edges = append(c.edges, e)
+		}
+	}
+	slices.SortFunc(c.edges[base:], func(a, b sketch.Edge) int {
+		return cmp.Compare(a.Label.Offset(), b.Label.Offset())
+	})
+	for i := base; i < base+nFields; i++ {
+		e := c.edges[i] // re-read: the recursion may grow c.edges
+		ft := c.convert(e.To, e.Label.Bits())
 		t.Fields = append(t.Fields, Field{Off: e.Label.Offset(), Bits: e.Label.Bits(), Type: ft})
 	}
+	c.edges = c.edges[:base]
+	c.active[st] = nil
 	return t
 }
 
@@ -455,39 +604,26 @@ func (c *Converter) nameStruct(t *Type) {
 // informative bound for the node's variance; resolve incomparable
 // lower bounds as a union (Example 4.2); carry semantic tags as
 // comments; fall back per pointer/integer flags.
-func (c *Converter) scalar(sk *sketch.Sketch, st int, bits int) *Type {
-	node := &sk.States[st]
-	lat := c.Lat
-
-	isTag := func(e lattice.Elem) bool { return strings.HasPrefix(lat.Name(e), "#") }
-	split := func(set []lattice.Elem) (scalars []lattice.Elem, tags []string) {
-		for _, e := range set {
-			if isTag(e) {
-				tags = append(tags, lat.Name(e))
-			} else if e != lat.Bottom() && e != lat.Top() {
-				scalars = append(scalars, e)
-			}
-		}
-		return
-	}
+func (c *Converter) scalar(st int, bits int) *Type {
+	node := &c.sk.States[st]
 
 	// Primary set per variance (§3.5: covariant nodes carry joins of
 	// lower bounds, contravariant nodes meets of upper bounds), with
 	// the other side as fallback.
 	primary, secondary := node.LowerSet, node.UpperSet
-	if node.Variance == label.Contravariant {
+	if c.vars[st] == label.Contravariant {
 		primary, secondary = node.UpperSet, node.LowerSet
 	}
-	scalars, tags := split(primary)
+	scalars, tags := c.split(primary, c.scalars[:0], nil, true)
 	if len(scalars) == 0 {
-		var t2 []string
-		scalars, t2 = split(secondary)
-		tags = append(tags, t2...)
-	} else if _, moreTags := split(secondary); len(moreTags) > 0 {
-		tags = append(tags, moreTags...)
+		scalars, tags = c.split(secondary, scalars, tags, true)
+	} else {
+		_, tags = c.split(secondary, nil, tags, false)
 	}
+	c.scalars = scalars
 	tags = dedupe(tags)
 
+	lat := c.Lat
 	switch len(scalars) {
 	case 0:
 		var t *Type
@@ -508,21 +644,32 @@ func (c *Converter) scalar(sk *sketch.Sketch, st int, bits int) *Type {
 		return t
 	default:
 		// Example 4.2: incomparable scalar constraints become a union.
-		u := &Type{Kind: KUnion, Tags: tags}
-		for _, e := range scalars {
-			u.Members = append(u.Members, Prim(lat.Name(e)))
+		u := &Type{Kind: KUnion, Tags: tags, Members: make([]*Type, len(scalars))}
+		for i, e := range scalars {
+			u.Members[i] = Prim(lat.Name(e))
 		}
 		return u
 	}
 }
 
-// applyConst implements Example 4.1: a pointer parameter whose sketch
-// has a .load capability but no .store capability is const.
-func (c *Converter) applyConst(sk *sketch.Sketch, st int, t *Type) {
-	if t.Kind != KPtr {
-		return
+// split sorts a bound set's members: semantic tags (names starting
+// with '#') are appended to tags and, if withScalars, the other
+// elements except ⊥ and ⊤ to scalars.
+func (c *Converter) split(set, scalars []lattice.Elem, tags []string, withScalars bool) ([]lattice.Elem, []string) {
+	lat := c.Lat
+	for _, e := range set {
+		if name := lat.Name(e); strings.HasPrefix(name, "#") {
+			tags = append(tags, name)
+		} else if withScalars && e != lat.Bottom() && e != lat.Top() {
+			scalars = append(scalars, e)
+		}
 	}
-	node := &sk.States[st]
+	return scalars, tags
+}
+
+// loadOnly is Example 4.1's const test: the state has a .load
+// capability and no .store capability.
+func loadOnly(node *sketch.State) bool {
 	hasLoad, hasStore := false, false
 	for _, e := range node.Edges {
 		switch e.Label.Kind() {
@@ -532,9 +679,7 @@ func (c *Converter) applyConst(sk *sketch.Sketch, st int, t *Type) {
 			hasStore = true
 		}
 	}
-	if hasLoad && !hasStore {
-		t.Const = true
-	}
+	return hasLoad && !hasStore
 }
 
 func dedupe(ss []string) []string {
@@ -548,21 +693,35 @@ func dedupe(ss []string) []string {
 	return out
 }
 
-func sortInEdges(es []sketch.Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		return paramOrder(es[i].Label.Loc()) < paramOrder(es[j].Label.Loc())
-	})
+// compareParams orders in-edges by parameter location: stack
+// parameters by offset, then registers by name. It compares the keys
+// "a" + offset as %08d (stack) and "b" + location (register) as
+// strings, built in stack buffers.
+func compareParams(x, y sketch.Edge) int {
+	var xb, yb [24]byte
+	return bytes.Compare(paramKey(xb[:0], x.Label.Loc()), paramKey(yb[:0], y.Label.Loc()))
 }
 
-// paramOrder sorts stack parameters by offset, then registers by name.
-func paramOrder(loc string) string {
+// paramKey appends loc's sort key to dst.
+func paramKey(dst []byte, loc string) []byte {
 	if strings.HasPrefix(loc, "stack") {
-		n, err := strconv.Atoi(loc[5:])
-		if err == nil {
-			return fmt.Sprintf("a%08d", n)
+		if n, err := strconv.Atoi(loc[5:]); err == nil {
+			var num [20]byte
+			digits := strconv.AppendInt(num[:0], int64(n), 10)
+			dst = append(dst, 'a')
+			if pad := 8 - len(digits); pad > 0 {
+				if n < 0 { // %08d pads between the sign and the digits
+					dst = append(dst, '-')
+					digits = digits[1:]
+				}
+				for ; pad > 0; pad-- {
+					dst = append(dst, '0')
+				}
+			}
+			return append(dst, digits...)
 		}
 	}
-	return "b" + loc
+	return append(append(dst, 'b'), loc...)
 }
 
 // Signature is a rendered procedure signature.
@@ -580,16 +739,26 @@ type Param struct {
 
 // String renders the signature as a C declaration.
 func (s *Signature) String() string {
-	var ps []string
-	for _, p := range s.Params {
-		ps = append(ps, p.Type.String())
-	}
-	if len(ps) == 0 {
-		ps = []string{"void"}
-	}
-	ret := "void"
+	var b strings.Builder
+	b.Grow(128) // the typical rendered length, so most signatures allocate once
+	var path [8]*Type
 	if s.Ret != nil {
-		ret = s.Ret.String()
+		s.Ret.write(&b, path[:0])
+	} else {
+		b.WriteString("void")
 	}
-	return fmt.Sprintf("%s %s(%s);", ret, s.Name, strings.Join(ps, ", "))
+	b.WriteByte(' ')
+	b.WriteString(s.Name)
+	b.WriteByte('(')
+	if len(s.Params) == 0 {
+		b.WriteString("void")
+	}
+	for i, p := range s.Params {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		p.Type.write(&b, path[:0])
+	}
+	b.WriteString(");")
+	return b.String()
 }

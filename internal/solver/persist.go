@@ -127,9 +127,11 @@ func dirOf(path string) string {
 }
 
 // LoadCacheData decodes a cache blob produced by SaveCacheTo into e's
-// caches (merging with whatever they already hold; recency of loaded
-// entries is preserved). It verifies the checksum and versions before
-// decoding a single entry.
+// caches (merging with whatever the scheme and shape memos already
+// hold; recency of loaded entries is preserved). It verifies the
+// checksum and versions before decoding a single entry, and refuses an
+// engine whose body-class table has already filed a class before
+// touching any cache.
 //
 // LoadCacheData keeps data: the body section's entry blobs stay slices
 // of it, decoded when first hit and written back verbatim by
@@ -138,6 +140,12 @@ func dirOf(path string) string {
 // or a buffer that is not reused).
 func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 	var st CacheLoadStats
+	// The body section can only load into a table that never filed a
+	// class (bodyCache.loadWire); refuse before merging any section, so
+	// a refused load leaves every cache as it was.
+	if !e.bodies.empty() {
+		return st, fmt.Errorf("solver: body-class section can only load into an empty table")
+	}
 	if len(data) < len(cacheMagic)+sha256.Size {
 		return st, fmt.Errorf("solver: cache file too short")
 	}

@@ -204,6 +204,29 @@ func (pr *ProcResult) OutSketch() (*sketch.Sketch, bool) {
 	return pr.Sketch.Descend(label.Word{label.Out("eax")})
 }
 
+// InState locates what InSketch returns without materialising it: the
+// specialized sketch and its root, or Sketch and the state its in_loc
+// edge reaches; InSketch(loc) is the sub-sketch of sk rooted at st.
+func (pr *ProcResult) InState(loc string) (sk *sketch.Sketch, st int, ok bool) {
+	if sk, ok := pr.SpecializedIns[loc]; ok && sk != nil {
+		return sk, 0, true
+	}
+	return pr.edgeState(label.In(loc))
+}
+
+// OutState is InState for the return value (OutSketch).
+func (pr *ProcResult) OutState() (sk *sketch.Sketch, st int, ok bool) {
+	return pr.edgeState(label.Out("eax"))
+}
+
+func (pr *ProcResult) edgeState(l label.Label) (*sketch.Sketch, int, bool) {
+	if pr.Sketch == nil {
+		return nil, 0, false
+	}
+	st := pr.Sketch.States[0].Lookup(l)
+	return pr.Sketch, st, st >= 0
+}
+
 // Result is the whole-program inference result.
 type Result struct {
 	Prog  *asm.Program

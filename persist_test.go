@@ -1,6 +1,7 @@
 package retypd
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -326,5 +327,32 @@ func TestEngineReanalyzeWithoutSession(t *testing.T) {
 	st := res.CacheStats()
 	if st.ReplayedProcs != 0 {
 		t.Errorf("virgin engine cannot replay: %+v", st)
+	}
+}
+
+// TestLoadCacheFileAfterInferChangesNothing: an engine that has already
+// filed body classes cannot load a cache file's body section, and the
+// refusal comes before any section merges — LoadCacheFile errors and
+// the scheme and shape memos keep exactly the entries they had.
+func TestLoadCacheFileAfterInferChangesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "other.cache")
+	other := NewEngine(nil)
+	if _, err := other.InferContext(context.Background(), MustParseAsm(corpus.Generate("cachesrc", 3, 2000).Source), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := NewEngine(nil)
+	if _, err := eng.InferContext(context.Background(), MustParseAsm(corpus.Generate("cachedst", 4, 2000).Source), nil); err != nil {
+		t.Fatal(err)
+	}
+	schemes, shapes := eng.CacheLen()
+	if err := eng.LoadCacheFile(path); err == nil {
+		t.Fatal("LoadCacheFile into an engine that filed body classes succeeded")
+	}
+	if s, sh := eng.CacheLen(); s != schemes || sh != shapes {
+		t.Fatalf("refused LoadCacheFile changed the memos: %d/%d entries, had %d/%d", s, sh, schemes, shapes)
 	}
 }

@@ -315,24 +315,26 @@ func (r *Result) Signature(proc string) *Signature {
 	}
 	r.convMu.Lock()
 	defer r.convMu.Unlock()
-	sig := &Signature{Name: proc, Ret: ctype.Prim("void")}
-	for _, l := range p.FormalIns {
+	sig := &Signature{Name: proc}
+	if len(p.FormalIns) > 0 {
+		sig.Params = make([]ctype.Param, len(p.FormalIns))
+	}
+	for i, l := range p.FormalIns {
 		loc := l.ParamName()
-		sk, ok := p.InSketch(loc)
 		var t *CType
-		if ok {
-			t = r.conv.ConvertParam(sk)
+		if sk, st, ok := p.InState(loc); ok {
+			t = r.conv.ParamFromState(sk, st)
 		} else {
 			t = ctype.Unknown()
 		}
-		sig.Params = append(sig.Params, ctype.Param{Loc: loc, Type: t})
+		sig.Params[i] = ctype.Param{Loc: loc, Type: t}
 	}
-	if p.HasOut {
-		if sk, ok := p.OutSketch(); ok {
-			sig.Ret = r.conv.FromSketch(sk)
-		} else {
-			sig.Ret = ctype.Unknown()
-		}
+	if !p.HasOut {
+		sig.Ret = ctype.Prim("void")
+	} else if sk, st, ok := p.OutState(); ok {
+		sig.Ret = r.conv.FromState(sk, st)
+	} else {
+		sig.Ret = ctype.Unknown()
 	}
 	return sig
 }
