@@ -7,6 +7,7 @@ package retypd
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"retypd/internal/absint"
@@ -18,6 +19,7 @@ import (
 	"retypd/internal/lattice"
 	"retypd/internal/pgraph"
 	"retypd/internal/solver"
+	"retypd/internal/summaries"
 )
 
 // benchCorpus caches one mid-sized benchmark program.
@@ -99,7 +101,6 @@ func BenchmarkConstRecall(b *testing.B) {
 func BenchmarkInferWholeProgram(b *testing.B) {
 	lat := lattice.Default()
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = false
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = solver.Infer(benchCorpus, lat, nil, opts)
@@ -118,7 +119,6 @@ func BenchmarkInferParallel(b *testing.B) {
 	run := func(workers int, noCache bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			opts := solver.DefaultOptions()
-			opts.KeepIntermediates = false
 			opts.Workers = workers
 			opts.NoSchemeCache = noCache
 			opts.NoShapeCache = noCache
@@ -135,19 +135,34 @@ func BenchmarkInferParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkConstraintGen isolates Appendix A constraint generation.
+// generateAll regenerates every procedure's raw constraint set from the
+// CFG analyses and callee schemes of a finished run (results keep no raw
+// sets), linking same-SCC callees monomorphically as the pipeline does.
+func generateAll(res *solver.Result) []*constraints.Set {
+	isConst := func(v constraints.Var) bool { _, ok := res.Lat.Elem(string(v)); return ok }
+	var out []*constraints.Set
+	for _, scc := range res.SCCs {
+		schemeOf := func(name string) *constraints.Scheme {
+			if pr, ok := res.Procs[name]; ok && !slices.Contains(scc, name) {
+				return pr.Scheme
+			}
+			return nil
+		}
+		for _, p := range scc {
+			out = append(out, absint.Generate(res.Infos[p], res.Infos, schemeOf, summaries.Default(), isConst, absint.Options{}).Constraints)
+		}
+	}
+	return out
+}
+
+// BenchmarkConstraintGen isolates Appendix A constraint generation:
+// every procedure of the program, against the schemes of one run.
 func BenchmarkConstraintGen(b *testing.B) {
-	lat := lattice.Default()
-	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = true
-	res := solver.Infer(benchCorpus, lat, nil, opts)
-	_ = res
+	res := solver.Infer(benchCorpus, lattice.Default(), nil, solver.DefaultOptions())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys := baselines.Retypd()
-		_ = sys
-		// Re-run generation only via the unify path (no solving).
-		_ = corpus.Generate("tmp", 1, 100)
+		_ = generateAll(res)
 	}
 }
 
@@ -223,7 +238,6 @@ func BenchmarkAblationMonomorphic(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			opts := solver.DefaultOptions()
-			opts.KeepIntermediates = false
 			opts.Absint = absint.Options{MonomorphicCalls: mono}
 			for i := 0; i < b.N; i++ {
 				_ = solver.Infer(benchCorpus, lat, nil, opts)
@@ -239,14 +253,11 @@ func BenchmarkAblationNoSimplify(b *testing.B) {
 	lat := lattice.Default()
 	cs := constraints.NewSet()
 	// One big raw set: all constraints of the benchmark program.
-	opts := solver.DefaultOptions()
-	res := solver.Infer(benchCorpus, lat, nil, opts)
-	for _, pr := range res.Procs {
-		cs.InsertAll(pr.Constraints())
+	for _, gen := range generateAll(solver.Infer(benchCorpus, lat, nil, solver.DefaultOptions())) {
+		cs.InsertAll(gen)
 	}
 	b.Run("per-SCC-schemes", func(b *testing.B) {
 		o := solver.DefaultOptions()
-		o.KeepIntermediates = false
 		for i := 0; i < b.N; i++ {
 			_ = solver.Infer(benchCorpus, lat, nil, o)
 		}

@@ -70,8 +70,7 @@ func NewEngine(opts *EngineOptions) *Engine {
 // Infer runs the full pipeline with the engine's shared caches and
 // records the run as the engine's current session (the baseline the
 // next Reanalyze diffs against). cfg works exactly as in the package-
-// level Infer; the deprecated Config.SchemeCache/ShapeCache fields are
-// ignored — the engine's own caches are used (Config.NoSchemeCache and
+// level Infer, with the engine's own caches (Config.NoSchemeCache and
 // friends still disable layers for baseline measurements).
 func (e *Engine) Infer(prog *Program, cfg *Config) *Result {
 	res, err := e.InferContext(context.Background(), prog, cfg)

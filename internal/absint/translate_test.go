@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"retypd/internal/constraints"
-	"retypd/internal/intern"
 )
 
 func TestRenamerForms(t *testing.T) {
@@ -70,9 +69,6 @@ func TestRenamerInconsistentCalls(t *testing.T) {
 	if _, ok := ren.Apply(constraints.NewSet()); ok {
 		t.Error("Apply succeeded on an invalid renamer")
 	}
-	if ren.Defer(constraints.NewSet()) != nil {
-		t.Error("Defer succeeded on an invalid renamer")
-	}
 }
 
 func TestRenamerApply(t *testing.T) {
@@ -103,47 +99,5 @@ func TestRenamerApply(t *testing.T) {
 		if c != want.Constraints()[i] {
 			t.Fatalf("constraint %d out of order: %s vs %s", i, c, want.Constraints()[i])
 		}
-	}
-}
-
-// TestRenamerDefer: Defer vets exactly what Apply accepts, interns
-// nothing while vetting, and its Set yields Apply's set, once.
-func TestRenamerDefer(t *testing.T) {
-	isProc := func(s string) bool {
-		return s == "drep" || s == "dmem" || s == "dleaf_a" || s == "dleaf_b" || s == "dother"
-	}
-	ren := NewRenamer("drep", "dmem", []CallRename{{Inst: 5, From: "dleaf_a", To: "dleaf_b"}}, isProc)
-	cs := constraints.MustParseSet(`
-		drep.in_stack0 <= drep!frm!stack0
-		dleaf_a@drep!5.out_eax <= drep!eax@6
-		Add(drep!eax@6, drep!ebx@2; drep!eax@7)
-		int <= drep.out_eax
-	`)
-	syms, _, dtvs := intern.GlobalStats()
-	d := ren.Defer(cs)
-	if d == nil {
-		t.Fatal("Defer refused a set Apply translates")
-	}
-	if s, _, v := intern.GlobalStats(); s != syms || v != dtvs {
-		t.Errorf("Defer interned %d syms and %d DTVs; vetting must intern nothing", s-syms, v-dtvs)
-	}
-	want, ok := ren.Apply(cs)
-	if !ok {
-		t.Fatal("Apply failed")
-	}
-	got := d.Set()
-	if got.String() != want.String() {
-		t.Errorf("deferred translation differs from Apply:\n%s\n--- want ---\n%s", got, want)
-	}
-	if d.Set() != got {
-		t.Error("second Set returned a different set")
-	}
-
-	leaked := constraints.MustParseSet(`dother <= drep`)
-	if _, ok := ren.Apply(leaked); ok {
-		t.Fatal("Apply accepted a foreign procedure leak")
-	}
-	if ren.Defer(leaked) != nil {
-		t.Error("Defer accepted a set Apply refuses")
 	}
 }

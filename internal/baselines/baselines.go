@@ -66,7 +66,6 @@ func Retypd() System { return RetypdEngine(nil) }
 func RetypdEngine(eng *solver.Engine) System {
 	return System{Name: "Retypd", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		opts := solver.DefaultOptions()
-		opts.KeepIntermediates = false
 		var res *solver.Result
 		if eng != nil {
 			res = eng.Infer(prog, lat, nil, opts)
@@ -86,7 +85,6 @@ func TIEStyle() System { return TIEStyleEngine(nil) }
 func TIEStyleEngine(eng *solver.Engine) System {
 	return System{Name: "TIE*", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		opts := solver.DefaultOptions()
-		opts.KeepIntermediates = false
 		opts.Absint = absint.Options{MonomorphicCalls: true, PolymorphicExternals: true}
 		opts.MaxSketchDepth = 3
 		opts.NoSpecialize = true

@@ -67,7 +67,7 @@ top:
 		}
 	}
 	// The register-renamed variants must report differing register
-	// assignments (the KeepIntermediates exclusion relies on it).
+	// assignments (the solver's CFG-clone anchoring relies on it).
 	got := fpOf(t, wrap("f", strings.ReplaceAll(base, "ebx", "esi")), "f", Config{})
 	if got.SameRegisters(want) {
 		t.Error("SameRegisters true across an ebx→esi renaming")

@@ -182,9 +182,10 @@ func (t *Type) String() string {
 	return b.String()
 }
 
-// write renders t into b. path holds the pointer and struct nodes
-// being rendered above t, so that a cycle through them renders as a
-// back reference instead of recursing forever.
+// write renders t into b. path holds the pointer, struct and function
+// nodes being rendered above t, so that a cycle through them renders as
+// a back reference instead of recursing forever. (Unions hold only
+// primitives.)
 func (t *Type) write(b *strings.Builder, path []*Type) {
 	if t == nil {
 		b.WriteString("void")
@@ -257,6 +258,11 @@ func (t *Type) write(b *strings.Builder, path []*Type) {
 		}
 		b.WriteString(" }")
 	case KFunc:
+		if slices.Contains(path, t) {
+			b.WriteString(CName("code"))
+			return
+		}
+		path = append(path, t)
 		t.Ret.write(b, path)
 		b.WriteString(" (*)(")
 		if len(t.Params) == 0 {
@@ -548,7 +554,9 @@ func (c *Converter) convert(st int, bits int) *Type {
 
 // pointee converts the target of a load/store edge: if it carries σ
 // fields it is a struct; a lone field at offset 0 collapses to the
-// field's own type.
+// field's own type. A target already being converted as a struct —
+// a region loaded again while its fields are converted — is that
+// struct, named as a recursive back reference like convert's.
 func (c *Converter) pointee(st int) *Type {
 	nFields := 0
 	var only sketch.Edge
@@ -566,13 +574,22 @@ func (c *Converter) pointee(st int) *Type {
 	case nFields == 1 && only.Label.Offset() == 0:
 		return c.convert(only.To, only.Label.Bits())
 	}
+	if t := c.active[st]; t != nil && t.Kind == KStruct {
+		if t.Name == "" {
+			c.nameStruct(t)
+		}
+		return t
+	}
 	return c.structOf(st, nFields)
 }
 
 // structOf assembles a struct type from the nFields σN@k edges of st,
-// in offset order.
+// in offset order. st may already be active as the pointer whose
+// pointee it is (a state that loads from itself); that entry is
+// restored on return.
 func (c *Converter) structOf(st, nFields int) *Type {
 	t := &Type{Kind: KStruct, Fields: make([]Field, 0, nFields)}
+	prev := c.active[st]
 	c.active[st] = t
 	base := len(c.edges)
 	for _, e := range c.sk.States[st].Edges {
@@ -589,7 +606,7 @@ func (c *Converter) structOf(st, nFields int) *Type {
 		t.Fields = append(t.Fields, Field{Off: e.Label.Offset(), Bits: e.Label.Bits(), Type: ft})
 	}
 	c.edges = c.edges[:base]
-	c.active[st] = nil
+	c.active[st] = prev
 	return t
 }
 

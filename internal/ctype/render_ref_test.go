@@ -12,7 +12,9 @@ import (
 )
 
 // referenceRender is the map-and-Sprintf renderer Type.String replaced,
-// kept as the oracle for the single-builder writer.
+// kept as the oracle for the single-builder writer. Like the writer, it
+// cuts a cycle at the first pointer, struct or function node that
+// recurs.
 func referenceRender(t *Type, onPath map[*Type]bool) string {
 	if t == nil {
 		return "void"
@@ -74,6 +76,11 @@ func referenceRender(t *Type, onPath map[*Type]bool) string {
 		}
 		return prefix + "union { " + strings.Join(parts, " ") + " }" + tagSuffix
 	case KFunc:
+		if onPath[t] {
+			return "void (*)()"
+		}
+		onPath[t] = true
+		defer delete(onPath, t)
 		var ps []string
 		for _, p := range t.Params {
 			ps = append(ps, referenceRender(p, onPath))
@@ -88,11 +95,12 @@ func referenceRender(t *Type, onPath map[*Type]bool) string {
 }
 
 // randomType builds a random type graph over every Kind, with
-// consts, tags, names, empty aggregates and back edges to pointer and
-// struct ancestors (the cycles convert creates, which rendering cuts).
+// consts, tags, names, empty aggregates and back edges to pointer,
+// struct and function ancestors (the cycles convert creates, which
+// rendering cuts; convert builds unions of primitives only).
 func randomType(r *rand.Rand, depth int, path []*Type) *Type {
 	if len(path) > 0 && r.Intn(6) == 0 {
-		if a := path[r.Intn(len(path))]; a.Kind == KPtr || a.Kind == KStruct {
+		if a := path[r.Intn(len(path))]; a.Kind != KUnion {
 			return a
 		}
 	}

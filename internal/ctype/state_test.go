@@ -13,15 +13,10 @@ import (
 // randomSketch builds a random sketch automaton of up to 10 states
 // with random bound sets on both sides (scalars, tags, ⊤, ⊥), random
 // flags and random stored variances. Even states are values: they get
-// function edges to later values, load and store edges to odd "region"
+// function edges to any value, load and store edges to odd "region"
 // states, and field edges to any value. Regions get field edges to any
-// value. Cycles and shared states occur, within two limits the
-// converter relies on and shape inference's minimal automata meet: a
-// region is the load/store target of at most one value, and function
-// edges alone form no cycle. (Without the first, a second value
-// loading the region being converted re-enters it; without the second,
-// a function type is its own parameter or result, which Type.String
-// cannot render.)
+// value. Cycles and shared states occur freely: a region may be loaded
+// by several values, and function edges alone may form cycles.
 func randomSketch(r *rand.Rand, lat *lattice.Lattice) *sketch.Sketch {
 	elems := []lattice.Elem{
 		lat.MustElem("int"), lat.MustElem("uint"), lat.MustElem("FILE"), lat.MustElem("str"),
@@ -38,7 +33,6 @@ func randomSketch(r *rand.Rand, lat *lattice.Lattice) *sketch.Sketch {
 	}
 	n := 1 + r.Intn(10)
 	value := func() int { return 2 * r.Intn((n+1)/2) }
-	owner := map[int]int{} // region → the value that loads or stores it
 	sk := &sketch.Sketch{Lat: lat, States: make([]sketch.State, n)}
 	for i := range sk.States {
 		st := &sk.States[i]
@@ -49,16 +43,11 @@ func randomSketch(r *rand.Rand, lat *lattice.Lattice) *sketch.Sketch {
 		}
 		if i%2 == 0 {
 			for _, l := range []label.Label{label.In("stack0"), label.In("stack4"), label.In("eax"), label.Out("eax")} {
-				if to := i + 2 + 2*r.Intn(n); to < n {
-					add(l, to)
-				}
+				add(l, value())
 			}
 			for _, l := range []label.Label{label.Load(), label.Store()} {
 				if reg := 1 + 2*r.Intn(n/2+1); reg < n {
-					if o, ok := owner[reg]; !ok || o == i {
-						owner[reg] = i
-						add(l, reg)
-					}
+					add(l, reg)
 				}
 			}
 		}

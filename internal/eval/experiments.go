@@ -252,7 +252,6 @@ func measureScale(size int, seed int64, workers int) ScalingPoint {
 		panic(err)
 	}
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.Workers = workers
 
 	secs := make([]float64, scaleTrials)
@@ -301,7 +300,6 @@ func RunWarmStart(size int, seed int64, workers int) []ScalingPoint {
 		panic(err)
 	}
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.Workers = workers
 
 	measure := func(kind string, run func()) ScalingPoint {
@@ -369,7 +367,6 @@ func RunFleet(n int, shared float64, size int, seed int64, workers int) []Scalin
 	lat := lattice.Default()
 	benches := corpus.GenerateFleet("fleet", seed, size, n, shared)
 	opts := solver.DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.Workers = workers
 
 	progs := make([]*asm.Program, len(benches))

@@ -65,8 +65,8 @@ endproc
 	opts.Absint = absint.Options{MonomorphicCalls: true}
 	mono := Infer(prog, lat, nil, opts)
 	global := constraints.NewSet()
-	for _, pr := range mono.Procs {
-		global.InsertAll(pr.Constraints())
+	for p := range mono.Procs {
+		global.InsertAll(generated(mono, p, opts.Absint))
 	}
 	shapes := sketch.NewBuilder(global, lat)
 	skOut := shapes.SketchFor("xalloc", -1)
@@ -85,8 +85,8 @@ endproc
 	// instances apart: xalloc's own (untagged) return stays free of the
 	// callers' fields.
 	polyGlobal := constraints.NewSet()
-	for _, pr := range poly.Procs {
-		polyGlobal.InsertAll(pr.Constraints())
+	for p := range poly.Procs {
+		polyGlobal.InsertAll(generated(poly, p, absint.Options{}))
 	}
 	shapes2 := sketch.NewBuilder(polyGlobal, lat)
 	skOut2 := shapes2.SketchFor("xalloc", -1)
@@ -137,7 +137,7 @@ endproc
 	opts := DefaultOptions()
 	opts.Absint = absint.Options{NoConstantSuppression: true}
 	res2 := Infer(prog, lat, nil, opts)
-	text := res2.Procs["caller"].Constraints().String()
+	text := generated(res2, "caller", opts.Absint).String()
 	if !contains(text, "caller!zero") {
 		t.Errorf("ablation should emit the shared zero variable:\n%s", text)
 	}

@@ -86,8 +86,8 @@ type bodyClass struct {
 type bodyEntry struct {
 	// rep is the publisher's procedure name — the renamer's From side.
 	rep string
-	// fp is the publisher's fingerprint: its register assignment and
-	// call sites drive the rename pairs and the SameRegisters check.
+	// fp is the publisher's fingerprint: its call sites drive the
+	// rename pairs.
 	fp *bodyfp.FP
 	// namedProc records, per fp.Calls() site, whether the call target
 	// was a procedure of the publisher's program. Meaningful for
@@ -101,10 +101,6 @@ type bodyEntry struct {
 	// sk is the publisher's solved sketch, sealed (sketches mention no
 	// variable names, so it is shared verbatim).
 	sk *sketch.Sketch
-	// raw is the publisher's generated constraint set (nil when the
-	// publishing run did not keep intermediates; KeepIntermediates
-	// consumers then refuse the entry).
-	raw *constraints.Set
 	// obs are the publisher's callsite-actual observations keyed by
 	// call site; consumers re-key them to their own callee names.
 	obs []entryObs
@@ -124,9 +120,8 @@ type entryObs struct {
 
 // lookup returns the class equivalent to fp, creating it if absent,
 // plus the class's current entry (nil when none is published yet). A
-// carried blob is decoded first, outside the table mutex (keep: see
-// resolve).
-func (bc *bodyCache) lookup(fp *bodyfp.FP, keep bool) (*bodyClass, *bodyEntry) {
+// carried blob is decoded first, outside the table mutex.
+func (bc *bodyCache) lookup(fp *bodyfp.FP) (*bodyClass, *bodyEntry) {
 	bc.mu.Lock()
 	c := bc.find(fp)
 	if c == nil {
@@ -135,19 +130,19 @@ func (bc *bodyCache) lookup(fp *bodyfp.FP, keep bool) (*bodyClass, *bodyEntry) {
 		bc.byHash[fp.Hash()] = append(bc.byHash[fp.Hash()], c)
 	}
 	bc.mu.Unlock()
-	return c, bc.resolve(c, keep)
+	return c, bc.resolve(c)
 }
 
 // prefetch decodes the carried blob of fp's existing class, if any,
 // without filing a class. classifyBodies calls it from its parallel
 // fingerprint fan-out, so the sequential classification walk finds
 // the entries it serves already decoded.
-func (bc *bodyCache) prefetch(fp *bodyfp.FP, keep bool) {
+func (bc *bodyCache) prefetch(fp *bodyfp.FP) {
 	bc.mu.Lock()
 	c := bc.find(fp)
 	bc.mu.Unlock()
 	if c != nil {
-		bc.resolve(c, keep)
+		bc.resolve(c)
 	}
 }
 
@@ -165,13 +160,8 @@ func (bc *bodyCache) find(fp *bodyfp.FP) *bodyClass {
 // resolve returns c's current entry, first decoding its carried blob
 // if it has one and no one has yet. The decode runs once per class and
 // outside bc.mu, so concurrent runs hitting different classes decode
-// in parallel; a failed (or panicking) decode clears the blob. keep is
-// the hitting run's Options.KeepIntermediates: a run that does not keep
-// raw constraint sets never reads an entry's, so its decode skips the
-// set, and KeepIntermediates runs of the same engine then refuse the
-// entry (entryPlan) and run those members in full. Output is the same
-// either way; only an engine that mixes the two settings loses hits.
-func (bc *bodyCache) resolve(c *bodyClass, keep bool) *bodyEntry {
+// in parallel; a failed (or panicking) decode clears the blob.
+func (bc *bodyCache) resolve(c *bodyClass) *bodyEntry {
 	c.decode.Do(func() {
 		bc.mu.Lock()
 		blob := c.blob
@@ -189,7 +179,7 @@ func (bc *bodyCache) resolve(c *bodyClass, keep bool) *bodyEntry {
 			}
 			bc.mu.Unlock()
 		}()
-		e, _ = decodeEntryWire(blob, keep)
+		e, _ = decodeEntryWire(blob)
 	})
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
@@ -270,9 +260,7 @@ var stockSumsDigest = sync.OnceValue(func() string { return sumsDigest(summaries
 // persistent body entry depends on into one digest for
 // bodyfp.Config.CtxSig: the summaries table (externals reach generated
 // constraints through it) and the solve options shaping cached sketches
-// and observations. KeepIntermediates is deliberately absent — it only
-// decides whether the raw set is retained, which consumers check per
-// entry at serve time instead of splitting the key space.
+// and observations.
 func runCtxSig(opts Options, sums summaries.Table) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "depth=%d\x00nospec=%v\x00sums=%s", opts.MaxSketchDepth, opts.NoSpecialize, sumsDigest(sums))

@@ -89,12 +89,6 @@ func appendEntryWire(buf []byte, e *bodyEntry) []byte {
 		buf = appendCacheString(buf, o.loc)
 		buf = o.sk.AppendWire(buf)
 	}
-	if e.raw != nil {
-		buf = append(buf, 1)
-		buf = e.raw.AppendWire(buf)
-	} else {
-		buf = append(buf, 0)
-	}
 	return buf
 }
 
@@ -169,9 +163,8 @@ func (bc *bodyCache) loadWire(data []byte) (n, classes, entries int, err error) 
 }
 
 // decodeEntryWire decodes one entry blob; it must consume the blob
-// exactly. Without withRaw the raw constraint set, the largest part of
-// most blobs, is skipped undecoded and the entry carries none.
-func decodeEntryWire(data []byte, withRaw bool) (*bodyEntry, error) {
+// exactly.
+func decodeEntryWire(data []byte) (*bodyEntry, error) {
 	e := &bodyEntry{}
 	var n int
 	var err error
@@ -239,26 +232,6 @@ func decodeEntryWire(data []byte, withRaw bool) (*bodyEntry, error) {
 		}
 		e.obs[i].sk.Seal()
 		n += m
-	}
-	if n >= len(data) {
-		return nil, fmt.Errorf("solver: truncated body entry raw flag")
-	}
-	switch data[n] {
-	case 1:
-		n++
-		if !withRaw {
-			n = len(data)
-			break
-		}
-		e.raw, m, err = constraints.DecodeSetWire(data[n:])
-		if err != nil {
-			return nil, err
-		}
-		n += m
-	case 0:
-		n++
-	default:
-		return nil, fmt.Errorf("solver: invalid body entry raw flag %d", data[n])
 	}
 	if n != len(data) {
 		return nil, fmt.Errorf("solver: %d trailing bytes in body entry blob", len(data)-n)

@@ -47,7 +47,6 @@ import (
 type dedupState struct {
 	conf    bodyfp.Config
 	isConst func(constraints.Var) bool
-	keep    bool // Options.KeepIntermediates: members must also translate raw constraint sets
 
 	// cache is the engine-scoped class table (run-private for one-shot
 	// Infer calls). Its mutex guards class structure; everything below
@@ -121,7 +120,6 @@ func newDedupState(lat *lattice.Lattice, opts Options, sums summaries.Table, isC
 			CtxSig:                runCtxSig(opts, sums),
 		},
 		isConst:   isConst,
-		keep:      opts.KeepIntermediates,
 		cache:     cache,
 		classOf:   map[string]uint32{},
 		localRep:  map[uint32]localSrc{},
@@ -178,7 +176,7 @@ func (ds *dedupState) calleeID(target string) (bodyfp.CalleeID, bool) {
 // the full path. isProc identifies program-procedure names for the
 // renamer's foreign-leak refusal and the entry portability check.
 func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool) *memberPlan {
-	cls, entry := ds.cache.lookup(fp, ds.keep)
+	cls, entry := ds.cache.lookup(fp)
 	// Class membership (and with it the callee identity served to
 	// callers) holds regardless of whether p is actually served below:
 	// an excluded member computes the same scheme the translation would
@@ -223,22 +221,14 @@ func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool
 }
 
 // entryPlan builds the serving plan from a stored entry, or nil when
-// the entry cannot serve p:
-//
-//   - KeepIntermediates needs the publisher's raw constraint set under
-//     the identical register assignment (raw local names embed actual
-//     registers);
-//   - every CalleeNamed call target must resolve the same way here
-//     (program procedure vs external) as it did for the publisher —
-//     equal encodings guarantee equal names at named sites, but not
-//     equal resolution, and generation models the two differently.
-//     Targets classified in this run are CalleeClass sites (callees
-//     are classified in strictly earlier levels, so classOf is final
-//     for them) and carry their identity in the encoding itself.
+// the entry cannot serve p: every CalleeNamed call target must resolve
+// the same way here (program procedure vs external) as it did for the
+// publisher — equal encodings guarantee equal names at named sites,
+// but not equal resolution, and generation models the two differently.
+// Targets classified in this run are CalleeClass sites (callees are
+// classified in strictly earlier levels, so classOf is final for them)
+// and carry their identity in the encoding itself.
 func (ds *dedupState) entryPlan(p string, fp *bodyfp.FP, e *bodyEntry, isProc func(string) bool) *memberPlan {
-	if ds.keep && (e.raw == nil || !fp.SameRegisters(e.fp)) {
-		return nil
-	}
 	repCalls, memCalls := e.fp.Calls(), fp.Calls()
 	if len(repCalls) != len(memCalls) || len(e.namedProc) != len(repCalls) {
 		return nil // cannot happen for equivalent encodings; stay safe
@@ -269,13 +259,6 @@ func (ds *dedupState) entryPlan(p string, fp *bodyfp.FP, e *bodyEntry, isProc fu
 // localPlan builds the in-program translation plan from this run's
 // representative, or nil when the member must run the full path.
 func (ds *dedupState) localPlan(p string, fp *bodyfp.FP, rep localSrc, isProc func(string) bool) *memberPlan {
-	if ds.keep && !fp.SameRegisters(rep.fp) {
-		// KeepIntermediates retains the raw generated constraint set,
-		// whose local names embed actual register names; translating it
-		// across a scratch-register renaming would need name surgery
-		// inside defVar suffixes. Rare enough to just compute fully.
-		return nil
-	}
 	repCalls, memCalls := rep.fp.Calls(), fp.Calls()
 	if len(repCalls) != len(memCalls) {
 		return nil // cannot happen for equivalent encodings; stay safe
@@ -321,9 +304,6 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 		if pr.Sketch != nil {
 			e.sk = pr.Sketch.Seal()
 		}
-		if g := pl.gens[idx]; g != nil {
-			e.raw = g.Constraints
-		}
 		if n := len(pl.obs[idx]); n > 0 {
 			e.obs = make([]entryObs, n)
 			for i, o := range pl.obs[idx] {
@@ -338,30 +318,11 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 	}
 }
 
-// keepMemberRaw gives a served member its raw constraint set under
-// KeepIntermediates. When the rename surgery classifies every base of
-// src, the translation is deferred to the set's first read
-// (ProcResult.Constraints): no op output needs it, and running it here
-// would intern every member-local name into the process-wide table.
-// Otherwise the member regenerates its set eagerly — sound because its
-// F.1 was ordered after its callee SCCs like any other procedure's.
-func (pl *pipeline) keepMemberRaw(pr *ProcResult, plan *memberPlan, src *constraints.Set) {
-	if !pl.opts.KeepIntermediates {
-		return
-	}
-	if d := plan.ren.Defer(src); d != nil {
-		pr.rawDeferred = d
-		return
-	}
-	pr.raw = absint.Generate(pl.infos[pr.Name], pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint).Constraints
-}
-
 // translateProc derives a member's phase-2 result from its in-program
 // representative's: the sketch is shared (sealed — sketches mention no
 // variable names, so the representative's solution IS the member's),
 // callsite-actual observations are re-keyed to the member's own callee
-// names, and under KeepIntermediates the raw constraint set is
-// translated on first read (see keepMemberRaw).
+// names.
 func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult, repObs []actualObs) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	sk := repPR.Sketch
@@ -376,7 +337,6 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 		Sketch:         sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
-	pl.keepMemberRaw(pr, plan, pl.gens[pl.procIdx[plan.rep]].Constraints)
 	if len(repObs) == 0 {
 		return pr, nil
 	}
@@ -398,9 +358,7 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 
 // translateEntry derives a member's phase-2 result from a stored body
 // entry — the cross-program analogue of translateProc. The entry's
-// sketches are already sealed; under KeepIntermediates the publisher's
-// raw set (whose presence entryPlan verified) is translated on first
-// read, like translateProc's.
+// sketches are already sealed.
 func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	e := plan.entry
@@ -412,7 +370,6 @@ func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []a
 		Sketch:         e.sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
-	pl.keepMemberRaw(pr, plan, e.raw)
 	if len(e.obs) == 0 {
 		return pr, nil
 	}

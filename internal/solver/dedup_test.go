@@ -1,13 +1,17 @@
 package solver
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"retypd/internal/absint"
 	"retypd/internal/asm"
+	"retypd/internal/constraints"
 	"retypd/internal/corpus"
 	"retypd/internal/lattice"
+	"retypd/internal/summaries"
 )
 
 // dedupProg is a program with heavy body duplication: identical leaf
@@ -96,14 +100,43 @@ proc main
 endproc
 `
 
-// dumpAll renders everything observable about a result, including the
-// per-procedure raw constraint sets (sorted rendering), so the golden
-// comparison also covers the KeepIntermediates translation path.
+// dumpAll renders everything observable about a result: its schemes
+// and specialized sketches.
 func dumpAll(res *Result) string {
+	return res.DumpSchemes() + "\n===\n" + res.DumpSpecialized()
+}
+
+// generated regenerates the raw constraint set of procedure p from res
+// (results keep none): absint.Generate over res's CFG analyses, with the
+// callee schemes res published. Callees in p's own SCC get no scheme,
+// as in the pipeline, which links same-SCC calls monomorphically.
+func generated(res *Result, p string, ao absint.Options) *constraints.Set {
+	var own []string
+	for _, scc := range res.SCCs {
+		if slices.Contains(scc, p) {
+			own = scc
+			break
+		}
+	}
+	schemeOf := func(name string) *constraints.Scheme {
+		if pr, ok := res.Procs[name]; ok && !slices.Contains(own, name) {
+			return pr.Scheme
+		}
+		return nil
+	}
+	isConst := func(v constraints.Var) bool {
+		_, ok := res.Lat.Elem(string(v))
+		return ok
+	}
+	return absint.Generate(res.Infos[p], res.Infos, schemeOf, summaries.Default(), isConst, ao).Constraints
+}
+
+// dumpWithRaw is dumpAll followed by every procedure's regenerated raw
+// constraint set, in name order: equal dumps mean equal schemes,
+// sketches, and the CFG analyses and callee schemes generation reads.
+func dumpWithRaw(res *Result, ao absint.Options) string {
 	var b strings.Builder
-	b.WriteString(res.DumpSchemes())
-	b.WriteString("\n===\n")
-	b.WriteString(res.DumpSpecialized())
+	b.WriteString(dumpAll(res))
 	b.WriteString("\n===\n")
 	var names []string
 	for n := range res.Procs {
@@ -111,17 +144,15 @@ func dumpAll(res *Result) string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if cs := res.Procs[n].Constraints(); cs != nil {
-			b.WriteString(n + ":\n" + cs.String() + "\n")
-		}
+		b.WriteString(n + ":\n" + generated(res, n, ao).String() + "\n")
 	}
 	return b.String()
 }
 
 // TestBodyDedupGoldenOnOff: the full observable output — schemes,
-// specialized sketches, AND raw generated constraint sets — must be
-// byte-identical with body dedup on and off, across cache settings and
-// worker counts.
+// specialized sketches, and the raw constraint sets regenerated from
+// them — must be byte-identical with body dedup on and off, across
+// cache settings and worker counts.
 func TestBodyDedupGoldenOnOff(t *testing.T) {
 	lat := lattice.Default()
 	progs := map[string]*asm.Program{
@@ -133,7 +164,7 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 			off := DefaultOptions()
 			off.Workers = 1
 			off.NoBodyDedup = true
-			want := dumpAll(Infer(prog, lat, nil, off))
+			want := dumpWithRaw(Infer(prog, lat, nil, off), off.Absint)
 
 			cases := []struct {
 				name string
@@ -152,26 +183,18 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 					o.NoSchemeCache = true
 					o.NoShapeCache = true
 				}},
-				{"on/nointermediates", func(o *Options) { o.Workers = 2; o.KeepIntermediates = false }},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					opts := DefaultOptions()
 					tc.mod(&opts)
 					res := Infer(prog, lat, nil, opts)
-					got := dumpAll(res)
-					wantHere := want
-					if !opts.KeepIntermediates {
-						// Constraints are absent; compare the visible part.
-						wantHere = dumpAll(Infer(prog, lat, nil, Options{
-							MaxSketchDepth: -1, Workers: 1, NoBodyDedup: true,
-						}))
-					}
-					if got != wantHere {
+					got := dumpWithRaw(res, opts.Absint)
+					if got != want {
 						t.Errorf("output diverged from dedup-off baseline (len %d vs %d)",
-							len(got), len(wantHere))
-						for i := 0; i < len(got) && i < len(wantHere); i++ {
-							if got[i] != wantHere[i] {
+							len(got), len(want))
+						for i := 0; i < len(got) && i < len(want); i++ {
+							if got[i] != want[i] {
 								lo := i - 120
 								if lo < 0 {
 									lo = 0
@@ -180,11 +203,11 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 								if hi > len(got) {
 									hi = len(got)
 								}
-								if hi > len(wantHere) {
-									hi = len(wantHere)
+								if hi > len(want) {
+									hi = len(want)
 								}
 								t.Logf("first divergence at byte %d:\n got: …%s…\nwant: …%s…",
-									i, got[lo:hi], wantHere[lo:hi])
+									i, got[lo:hi], want[lo:hi])
 								break
 							}
 						}
@@ -213,13 +236,13 @@ func TestBodyDedupMonomorphic(t *testing.T) {
 		off.Workers = workers
 		off.NoBodyDedup = true
 		off.Absint.MonomorphicCalls = true
-		want := dumpAll(Infer(prog, lat, nil, off))
+		want := dumpWithRaw(Infer(prog, lat, nil, off), off.Absint)
 
 		on := DefaultOptions()
 		on.Workers = workers
 		on.Absint.MonomorphicCalls = true
 		res := Infer(prog, lat, nil, on)
-		if got := dumpAll(res); got != want {
+		if got := dumpWithRaw(res, on.Absint); got != want {
 			t.Errorf("workers=%d: monomorphic output diverged with dedup on (len %d vs %d)",
 				workers, len(got), len(want))
 		}
@@ -231,29 +254,18 @@ func TestBodyDedupMonomorphic(t *testing.T) {
 
 // TestBodyDedupStats sanity-checks the hit accounting on the
 // handwritten program: leaf_b/leaf_c dedup against leaf_a, wrap_b
-// against wrap_a (their callees are class-equal), regvar_b against
-// regvar_a only when raw constraint sets need not be translated
-// (register renaming is excluded under KeepIntermediates).
+// against wrap_a (their callees are class-equal), and regvar_b against
+// regvar_a (a scratch-register renaming changes no output).
 func TestBodyDedupStats(t *testing.T) {
 	lat := lattice.Default()
 	prog := asm.MustParse(dedupProgSrc)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.Workers = 1
 	res := Infer(prog, lat, nil, opts)
 	// leaf_b, leaf_c, wrap_b, regvar_b are members.
 	if res.BodyDedupHits != 4 {
 		t.Errorf("hits = %d, want 4 (leaf_b, leaf_c, wrap_b, regvar_b)", res.BodyDedupHits)
-	}
-
-	keep := DefaultOptions()
-	keep.Workers = 1
-	resK := Infer(prog, lat, nil, keep)
-	// regvar_b drops out: its raw constraint set embeds renamed
-	// registers.
-	if resK.BodyDedupHits != 3 {
-		t.Errorf("hits with KeepIntermediates = %d, want 3", resK.BodyDedupHits)
 	}
 }
 
@@ -267,7 +279,7 @@ func TestBodyDedupDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
-		got := dumpAll(Infer(prog, lat, nil, opts))
+		got := dumpWithRaw(Infer(prog, lat, nil, opts), opts.Absint)
 		if i == 0 {
 			want = got
 			continue
@@ -284,7 +296,6 @@ func TestBodyDedupCorpusEffect(t *testing.T) {
 	b := corpus.Generate("dedup", 1234, 4000)
 	prog := asm.MustParse(b.Source)
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	res := Infer(prog, lattice.Default(), nil, opts)
 	total := res.BodyDedupHits + res.BodyDedupMisses
 	t.Logf("body dedup: %d hits / %d misses over %d procs", res.BodyDedupHits, res.BodyDedupMisses, len(res.Procs))

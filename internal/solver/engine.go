@@ -81,11 +81,7 @@ func (e *Engine) DisableSessionRecording() {
 
 // session is the recorded outcome of the engine's most recent run: the
 // inputs that parameterized it and, per procedure, everything a clean
-// replay needs. Sessions are immutable once published, with one
-// once-guarded exception: a body-dedup member's raw constraint set is
-// translated on its first read (ProcResult.Constraints), by whichever
-// reader — a caller, a replay sharing the snapshot, or SaveSessionTo —
-// gets there first, and is fixed from then on. Every field must
+// replay needs. Sessions are immutable once published. Every field must
 // reach the persisted wire form (SaveSessionTo) — a session loaded in a
 // fresh process must replay exactly like the one that was saved.
 //
@@ -164,13 +160,11 @@ func optsCompatible(a, b Options) bool {
 		a.Absint.NoConstantSuppression == b.Absint.NoConstantSuppression &&
 		a.Absint.Covered == nil && b.Absint.Covered == nil &&
 		a.MaxSketchDepth == b.MaxSketchDepth &&
-		a.NoSpecialize == b.NoSpecialize &&
-		a.KeepIntermediates == b.KeepIntermediates
+		a.NoSpecialize == b.NoSpecialize
 }
 
-// withEngineCaches forces the engine's caches into opts (the deprecated
-// per-call cache knobs are superseded; the No* escape hatches keep
-// working for baseline measurements).
+// withEngineCaches forces the engine's caches into opts (the No*
+// escape hatches keep working for baseline measurements).
 func (e *Engine) withEngineCaches(opts Options) Options {
 	opts.SchemeCache = e.schemes
 	opts.ShapeCache = e.shapes
@@ -346,15 +340,6 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	for i, p := range order {
 		snap := snaps[i]
 		d := snap == nil || !snap.fp.EquivalentTo(fps[i])
-		if !d && opts.KeepIntermediates && !snap.fp.SameRegisters(fps[i]) {
-			// The fingerprint is canonical over scratch-register
-			// symmetry classes, but the raw kept constraint set embeds
-			// actual register names in its defVar suffixes — replaying
-			// it across a register renaming would diverge from
-			// from-scratch output. Same guard as the in-run dedup
-			// layer (dedup.go).
-			d = true
-		}
 		if !d {
 			for _, c := range fps[i].Calls() {
 				if isProcNew(c.Target) != isProcOld(c.Target) {
@@ -433,8 +418,8 @@ func sccKeys(cg *cfg.CallGraph) map[string]string {
 
 // replayProc rebuilds a clean procedure's result from its session
 // snapshot: a fresh shell (phase 3 fills SpecializedIns per run)
-// sharing the immutable pieces — the scheme, the sealed sketch, the
-// kept constraint set — plus the recorded callsite observations.
+// sharing the immutable pieces — the scheme and the sealed sketch —
+// plus the recorded callsite observations.
 func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
 	snap := pl.inc.replay[p]
 	pi := pl.infos[p]
@@ -445,8 +430,6 @@ func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
 		Scheme:         snap.scheme,
 		Sketch:         snap.pr.Sketch,
 		SpecializedIns: map[string]*sketch.Sketch{},
-		raw:            snap.pr.raw,
-		rawDeferred:    snap.pr.rawDeferred,
 	}
 	return pr, snap.obs
 }

@@ -12,7 +12,8 @@ import (
 // TestGenerateShardGoldenFixture regenerates the cache-compatibility
 // fixture pair (testdata/cache_pr5_golden.{bin,dump}) that
 // persist_golden_test.go pins the wire format against. The checked-in
-// copy was last recorded at the v2 bump (body-class section);
+// copy was last recorded at the v3 bump (body entries without raw
+// constraint sets);
 // regenerate only on a deliberate cacheFormatVersion/FPVersion bump,
 // and bump those versions rather than regenerating to paper over an
 // accidental wire change.

@@ -122,7 +122,7 @@ func FuzzLoadCache(f *testing.F) {
 	}
 	decodeHeld := func(eng *Engine) {
 		for _, c := range eng.bodies.sorted() {
-			eng.bodies.resolve(c, true)
+			eng.bodies.resolve(c)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

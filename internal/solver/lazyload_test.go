@@ -3,10 +3,12 @@ package solver
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"retypd/internal/asm"
+	"retypd/internal/constraints"
 	"retypd/internal/corpus"
 	"retypd/internal/lattice"
 )
@@ -111,10 +113,48 @@ func TestLoadCacheDecodesEntriesOnFirstHit(t *testing.T) {
 	}
 }
 
+// entryParts returns the byte range of each part of an entry blob:
+// the publisher's fingerprint, its scheme, its sketch, and its
+// callsite observations.
+func entryParts(t *testing.T, blob []byte) map[string][2]int {
+	t.Helper()
+	e, err := decodeEntryWire(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpAt := len(appendCacheString(nil, e.rep))
+	schemeAt := fpAt + len(e.fp.AppendWire(nil))
+	skAt := schemeAt + len(constraints.AppendSchemeWire(nil, e.scheme))
+	callsAt := skAt + len(e.sk.AppendWire(nil))
+	obsAt := callsAt + len(binary.AppendUvarint(nil, uint64(len(e.namedProc)))) + len(e.namedProc)
+	return map[string][2]int{
+		"fingerprint":  {fpAt, schemeAt},
+		"scheme":       {schemeAt, skAt},
+		"sketch":       {skAt, callsAt},
+		"observations": {obsAt, len(blob)},
+	}
+}
+
+// flipToFail flips one byte of blob[lo:hi], at the first position (from
+// a start that varies with i) where the blob stops decoding, and
+// reports whether it found one; otherwise blob is left unchanged.
+func flipToFail(blob []byte, i, lo, hi int) bool {
+	for k := 0; k < hi-lo; k++ {
+		p := lo + (i*7919+k*31)%(hi-lo)
+		blob[p] ^= 0x5a
+		if _, err := decodeEntryWire(blob); err != nil {
+			return true
+		}
+		blob[p] ^= 0x5a
+	}
+	return false
+}
+
 // TestLoadCacheCorruptEntryIsMiss: entry blobs corrupted under a valid
 // checksum load cleanly; each is a miss at first hit (its members run
 // the full path and republish), the output equals a cold run byte for
-// byte, and no failing blob is saved again.
+// byte, and no failing blob is saved again — whichever part of the
+// blob the corruption hits.
 func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 	lat := lattice.Default()
 	prog := corpus.Generate("lazycorrupt", 23, 1500).Source
@@ -124,46 +164,52 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 	want := dumpAll(Infer(asm.MustParse(prog), lat, nil, DefaultOptions()))
 
 	// Each corruption reports whether it found a change that makes the
-	// blob fail to decode.
-	corruptions := map[string]func(blob []byte, i int) bool{
+	// blob fail to decode; part corruptions touch only that part.
+	corruptions := map[string]func(t *testing.T, blob []byte, i int) bool{
 		// Every byte 0xff: the leading name-length uvarint never ends.
-		"fill": func(blob []byte, _ int) bool {
+		"fill": func(_ *testing.T, blob []byte, _ int) bool {
 			for j := range blob {
 				blob[j] = 0xff
 			}
 			return true
 		},
-		// One flipped byte, at the first position (from a per-blob
-		// start) where the blob stops decoding.
-		"flip": func(blob []byte, i int) bool {
-			for k := 0; k < len(blob); k++ {
-				p := (i*7919 + k*31) % len(blob)
-				blob[p] ^= 0x5a
-				if _, err := decodeEntryWire(blob, true); err != nil {
-					return true
-				}
-				blob[p] ^= 0x5a
-			}
-			return false
+		"flip": func(_ *testing.T, blob []byte, i int) bool {
+			return flipToFail(blob, i, 0, len(blob))
 		},
+	}
+	for _, part := range []string{"fingerprint", "scheme", "sketch", "observations"} {
+		corruptions[part] = func(t *testing.T, blob []byte, i int) bool {
+			r := entryParts(t, blob)[part]
+			return flipToFail(blob, i, r[0], r[1])
+		}
 	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			bad := bytes.Clone(data)
 			// The loaded blobs alias bad, so corrupting them in place
-			// corrupts the file; every other blob stays intact.
+			// corrupts the file; every other blob stays intact. A part
+			// corruption skips blobs where no flip of that part fails
+			// (say, an empty observation list whose count byte decodes
+			// either way) and takes the next one.
 			_, blobs, _ := heldBlobs(loadBytes(t, bad))
 			corrupted := 0
 			for i, b := range blobs {
-				if i%2 == 0 {
-					if !corrupt(b, i) {
+				if corrupted*2 > i {
+					continue
+				}
+				if !corrupt(t, b, i) {
+					if name == "fill" || name == "flip" {
 						t.Fatalf("blob %d: found no corruption that fails to decode", i)
 					}
-					if _, err := decodeEntryWire(b, true); err == nil {
-						t.Fatalf("blob %d still decodes after corruption", i)
-					}
-					corrupted++
+					continue
 				}
+				if _, err := decodeEntryWire(b); err == nil {
+					t.Fatalf("blob %d still decodes after corruption", i)
+				}
+				corrupted++
+			}
+			if corrupted == 0 {
+				t.Fatalf("no blob could be corrupted in its %s", name)
 			}
 			reseal(bad)
 
@@ -187,7 +233,7 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 			// corrupt ones were dropped and their classes republished.
 			_, saved, _ := heldBlobs(loadBytes(t, saveBytes(t, eng)))
 			for i, b := range saved {
-				if _, err := decodeEntryWire(b, true); err != nil {
+				if _, err := decodeEntryWire(b); err != nil {
 					t.Fatalf("saved blob %d does not decode: %v", i, err)
 				}
 			}
@@ -209,7 +255,7 @@ func TestSaveCacheWritesCarriedBlobsVerbatim(t *testing.T) {
 		t.Fatal("fleet cache carries no body entries")
 	}
 	for i, b := range blobs {
-		e, err := decodeEntryWire(b, true)
+		e, err := decodeEntryWire(b)
 		if err != nil {
 			t.Fatalf("blob %d: %v", i, err)
 		}
@@ -219,14 +265,13 @@ func TestSaveCacheWritesCarriedBlobsVerbatim(t *testing.T) {
 	}
 	for _, hit := range []struct {
 		name  string
-		every int  // decode every n-th held blob (0: none)
-		keep  bool // decode raw sets too
-	}{{"none", 0, true}, {"some", 3, true}, {"all", 1, true}, {"all without raw sets", 1, false}} {
+		every int // decode every n-th held blob (0: none)
+	}{{"none", 0}, {"some", 3}, {"all", 1}} {
 		eng := loadBytes(t, data)
 		classes, _, _ := heldBlobs(eng)
 		for i, c := range classes {
 			if hit.every > 0 && i%hit.every == 0 {
-				if eng.bodies.resolve(c, hit.keep) == nil {
+				if eng.bodies.resolve(c) == nil {
 					t.Fatalf("%s: blob %d failed to decode", hit.name, i)
 				}
 			}
@@ -237,36 +282,25 @@ func TestSaveCacheWritesCarriedBlobsVerbatim(t *testing.T) {
 	}
 }
 
-// TestLoadedEntriesServeWithoutRawSets: a run that keeps no raw
-// constraint sets decodes entries without theirs and is served from
-// them; a later KeepIntermediates run of the same engine refuses those
-// entries and runs their members in full. Both equal cold runs.
-func TestLoadedEntriesServeWithoutRawSets(t *testing.T) {
+// TestLoadedEntriesServeRenamedTwin: a renamed twin of a cached
+// program is served from the loaded entries, a second run of it too,
+// and both equal a cold run.
+func TestLoadedEntriesServeRenamedTwin(t *testing.T) {
 	lat := lattice.Default()
 	src := corpus.GenerateWithPrefix("lazyraw", "", 43, 1000).Source
 	twin := corpus.GenerateWithPrefix("lazyraw", "tw_", 43, 1000).Source
 	eng0 := NewEngine(0, 0)
 	eng0.Infer(asm.MustParse(src), lat, nil, DefaultOptions())
 	eng := loadBytes(t, saveBytes(t, eng0))
-
-	lean := DefaultOptions()
-	lean.KeepIntermediates = false
-	res := eng.Infer(asm.MustParse(twin), lat, nil, lean)
-	if res.BodyDedupCrossHits == 0 {
-		t.Fatal("run without raw sets served nothing from the loaded entries")
-	}
-	if dumpAll(res) != dumpAll(Infer(asm.MustParse(twin), lat, nil, lean)) {
-		t.Error("output without raw sets differs from a cold run")
-	}
-	_, _, entries := heldBlobs(eng)
-	for _, e := range entries {
-		if e != nil && e.raw != nil {
-			t.Fatal("a run without raw sets decoded one")
+	want := dumpAll(Infer(asm.MustParse(twin), lat, nil, DefaultOptions()))
+	for run := range 2 {
+		res := eng.Infer(asm.MustParse(twin), lat, nil, DefaultOptions())
+		if res.BodyDedupCrossHits == 0 {
+			t.Fatalf("run %d served nothing from the loaded entries", run)
 		}
-	}
-	keep := eng.Infer(asm.MustParse(twin), lat, nil, DefaultOptions())
-	if dumpAll(keep) != dumpAll(Infer(asm.MustParse(twin), lat, nil, DefaultOptions())) {
-		t.Error("KeepIntermediates output after a run without raw sets differs from a cold run")
+		if dumpAll(res) != want {
+			t.Errorf("run %d: output differs from a cold run", run)
+		}
 	}
 }
 

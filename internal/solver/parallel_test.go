@@ -100,7 +100,6 @@ func TestSchemeCacheShared(t *testing.T) {
 	cache := pgraph.NewSimplifyCache(0)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.SchemeCache = cache
 
 	r1 := Infer(prog, lat, nil, opts)
@@ -125,7 +124,6 @@ func TestNoSchemeCacheWinsOverProvidedCache(t *testing.T) {
 	cache := pgraph.NewSimplifyCache(0)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.SchemeCache = cache
 	opts.NoSchemeCache = true
 	res := Infer(prog, lat, nil, opts)
@@ -198,7 +196,6 @@ func TestShapeCacheShared(t *testing.T) {
 	cache := sketch.NewShapeCache(0)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.ShapeCache = cache
 
 	r1 := Infer(prog, lat, nil, opts)
@@ -242,7 +239,7 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 		t.Fatal("no sealed sketch found in results despite cache hits")
 	}
 
-	g := pgraph.Build(res.Procs[servedProc].Constraints(), lat)
+	g := pgraph.Build(generated(res, servedProc, opts.Absint), lat)
 	defer g.Release()
 	dec := sketch.NewDecorator(g)
 	defer dec.Release()
@@ -264,7 +261,6 @@ func TestNoShapeCacheWinsOverProvidedCache(t *testing.T) {
 	cache := sketch.NewShapeCache(0)
 
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	opts.ShapeCache = cache
 	opts.NoShapeCache = true
 	// Body dedup also seals the sketches it shares across class

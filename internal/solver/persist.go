@@ -32,7 +32,6 @@ import (
 //	       ++ scheme wire ++ sketch wire
 //	       ++ uvarint(call count) ++ namedProc bytes
 //	       ++ uvarint(obs count) per obs (uvarint(inst) ++ loc ++ sketch wire)
-//	       ++ byte(hasRaw) [++ constraint-set wire]
 //	++ sha256 of everything preceding (32 bytes)
 //
 // Version-bump rules (the wire-format invariant): any change to what a
@@ -66,8 +65,9 @@ const cacheMagic = "retypd-cache\x00"
 
 // cacheFormatVersion versions the file layout and every embedded wire
 // encoding. Bump on any encoding change that FPVersion does not
-// already capture. v2 added the body-class section.
-const cacheFormatVersion = 2
+// already capture. v2 added the body-class section; v3 dropped the raw
+// constraint set from body entries.
+const cacheFormatVersion = 3
 
 // CacheLoadStats reports what a LoadCache call decoded.
 type CacheLoadStats struct {

@@ -11,8 +11,10 @@ import (
 )
 
 // testdata/cache_pr5_golden.{bin,dump} pin the persisted cache wire
-// format (v2: scheme + shape + body-class sections; originally recorded
-// at PR 5, regenerated on the v2 bump that added the body section).
+// format (v3: scheme + shape + body-class sections). The pair was first
+// recorded before the body section existed and regenerated on the v2
+// bump that added it and on the v3 bump that dropped raw constraint
+// sets from body entries, each time with an unchanged dump.
 // These tests pin the compatibility contract: the checked-in blob loads
 // into today's caches, round-trips byte-identically, and serves a warm
 // run whose output matches the recorded dump with zero cache misses.

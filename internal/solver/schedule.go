@@ -100,7 +100,7 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 					return
 				}
 				fps[i] = bodyfp.Compute(cg.Prog.ProcIndex[scc[0]], pl.dedup.conf, pl.dedup.calleeID)
-				pl.dedup.cache.prefetch(fps[i], pl.dedup.keep)
+				pl.dedup.cache.prefetch(fps[i])
 			})
 		})
 		if err != nil {

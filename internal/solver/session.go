@@ -31,7 +31,6 @@ import (
 //	     uvarint(record length) ++ record, where record is
 //	     name ++ fingerprint wire (bodyfp.FP.AppendWire)
 //	     ++ scheme wire ++ byte(hasSketch) [++ uvarint(len) ++ sketch wire]
-//	     ++ byte(hasRaw) [++ constraint-set wire]
 //	     ++ uvarint(obs count) per obs
 //	          (callee ++ loc ++ uvarint(inst) ++ uvarint(len) ++ sketch wire)
 //	     ++ SCC membership key
@@ -57,8 +56,9 @@ import (
 const sessMagic = "retypd-sess\x00"
 
 // sessionFormatVersion versions the session file layout and every
-// embedded wire encoding.
-const sessionFormatVersion = 1
+// embedded wire encoding. v2 dropped the raw constraint set from
+// procedure records.
+const sessionFormatVersion = 2
 
 // session option bits (byte after the lattice signature).
 const (
@@ -66,7 +66,6 @@ const (
 	sessOptPolymorphicExternals
 	sessOptNoConstantSuppression
 	sessOptNoSpecialize
-	sessOptKeepIntermediates
 )
 
 // ErrNoSession reports a SaveSession call on an engine that has not
@@ -99,9 +98,6 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 	if sess.opts.NoSpecialize {
 		bits |= sessOptNoSpecialize
 	}
-	if sess.opts.KeepIntermediates {
-		bits |= sessOptKeepIntermediates
-	}
 	buf = append(buf, bits)
 	buf = binary.AppendVarint(buf, int64(sess.opts.MaxSketchDepth))
 	buf = appendCacheString(buf, sess.sumsDig)
@@ -123,12 +119,6 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 			blob := snap.pr.Sketch.AppendWire(nil)
 			rec = binary.AppendUvarint(rec, uint64(len(blob)))
 			rec = append(rec, blob...)
-		} else {
-			rec = append(rec, 0)
-		}
-		if raw := snap.pr.Constraints(); raw != nil {
-			rec = append(rec, 1)
-			rec = raw.AppendWire(rec)
 		} else {
 			rec = append(rec, 0)
 		}
@@ -225,7 +215,6 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	sess.opts.Absint.PolymorphicExternals = bits&sessOptPolymorphicExternals != 0
 	sess.opts.Absint.NoConstantSuppression = bits&sessOptNoConstantSuppression != 0
 	sess.opts.NoSpecialize = bits&sessOptNoSpecialize != 0
-	sess.opts.KeepIntermediates = bits&sessOptKeepIntermediates != 0
 	sess.opts.MaxSketchDepth = int(depth)
 
 	count, m := binary.Uvarint(body[n:])
@@ -367,23 +356,6 @@ func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, st
 	case 0:
 	default:
 		return fail(fmt.Errorf("solver: invalid session sketch flag %d", hasSk))
-	}
-	if n >= len(rec) {
-		return fail(fmt.Errorf("solver: truncated session raw flag"))
-	}
-	hasRaw := rec[n]
-	n++
-	switch hasRaw {
-	case 1:
-		cs, m, err := constraints.DecodeSetWire(rec[n:])
-		if err != nil {
-			return fail(err)
-		}
-		pr.raw = cs
-		n += m
-	case 0:
-	default:
-		return fail(fmt.Errorf("solver: invalid session raw flag %d", hasRaw))
 	}
 	nObs, m := binary.Uvarint(rec[n:])
 	if m <= 0 {

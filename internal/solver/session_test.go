@@ -114,9 +114,7 @@ func TestSessionLoadRejectsCorruption(t *testing.T) {
 // TestSessionZeroWarmupSpeedup: load-session + Reanalyze of the
 // unchanged program must beat a cold Infer by ≥ 5× — the zero-warm-up
 // contract a service restart relies on. Measured in the service
-// configuration: all cores, KeepIntermediates off (raw constraint sets
-// are debug artifacts a server does not retain, and they dominate the
-// session's decode cost when kept).
+// configuration: all cores.
 func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -124,7 +122,6 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	lat := lattice.Default()
 	b := corpus.Generate("session", 7, 1500)
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 
 	eng := NewEngine(0, 0)
 	eng.Infer(asm.MustParse(b.Source), lat, nil, opts)

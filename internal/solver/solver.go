@@ -81,10 +81,6 @@ type Options struct {
 	MaxSketchDepth int
 	// NoSpecialize disables the F.3 parameter-refinement pass.
 	NoSpecialize bool
-	// KeepIntermediates retains per-procedure constraint sets and
-	// shapes in the result (tests and the CLI want them; the scaling
-	// harness does not).
-	KeepIntermediates bool
 	// Workers bounds the concurrency of every pipeline phase: 1 runs
 	// fully sequentially on the calling goroutine, values ≤ 0 use one
 	// worker per available CPU. Output is identical for every value.
@@ -148,7 +144,7 @@ type Options struct {
 
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
-	return Options{MaxSketchDepth: -1, KeepIntermediates: true}
+	return Options{MaxSketchDepth: -1}
 }
 
 // ProcResult collects everything inferred for one procedure.
@@ -164,24 +160,6 @@ type ProcResult struct {
 	// SpecializedIns maps formal location names to the F.3-refined
 	// parameter sketches (nil when no callsite evidence exists).
 	SpecializedIns map[string]*sketch.Sketch
-	// raw is the generated (unsimplified) constraint set, kept when
-	// Options.KeepIntermediates is set; rawDeferred stands in for it on
-	// procedures served by body dedup. Read both through Constraints.
-	raw         *constraints.Set
-	rawDeferred *absint.Deferred
-}
-
-// Constraints returns the generated (unsimplified) constraint set, kept
-// when Options.KeepIntermediates is set (nil otherwise). A procedure
-// served by body dedup holds its source's set and rename surgery
-// instead and translates them on the first call, which is when the
-// procedure's own variable names are interned; every caller, on any
-// goroutine, gets the same set.
-func (pr *ProcResult) Constraints() *constraints.Set {
-	if pr.rawDeferred != nil {
-		return pr.rawDeferred.Set()
-	}
-	return pr.raw
 }
 
 // InSketch returns the sketch of the formal at location name
@@ -554,7 +532,8 @@ type pipeline struct {
 	// fingerprint of each single-member SCC forward so Phase 2 need not
 	// recompute it (a multi-member SCC's members have per-procedure
 	// sets that differ from the SCC union, so those are fingerprinted
-	// in Phase 2).
+	// in Phase 2). The procedure's own F.2 is the last reader of its
+	// gens and fps slots and clears them.
 	schemes []*constraints.Scheme
 	gens    []*absint.Result
 	fps     []*pgraph.FP
@@ -890,9 +869,8 @@ func (pl *pipeline) collectActuals(res *Result) map[actualKey]*sketch.Sketch {
 func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 	pi := pl.infos[p]
 	idx := pl.procIdx[p]
-	gr := pl.gens[idx]
-
-	fp := pl.fps[idx]
+	gr, fp := pl.gens[idx], pl.fps[idx]
+	pl.gens[idx], pl.fps[idx] = nil, nil // this task is their last reader
 	if fp == nil && pl.shapeCache != nil {
 		fp = pgraph.Fingerprint(gr.Constraints, pl.lat)
 	}
@@ -941,9 +919,6 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 		Scheme:         pl.schemes[idx],
 		Sketch:         solve(constraints.Var(p)),
 		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	if pl.opts.KeepIntermediates {
-		pr.raw = gr.Constraints
 	}
 
 	var obs []actualObs

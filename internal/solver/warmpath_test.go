@@ -110,7 +110,6 @@ func TestLoadSessionSharesSketches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one stripe
 	lat := lattice.Default()
 	opts := DefaultOptions()
-	opts.KeepIntermediates = false
 	eng := NewEngine(0, 0)
 	eng.Infer(asm.MustParse(corpus.Generate("session", 7, 1500).Source), lat, nil, opts)
 	var saved bytes.Buffer

@@ -39,7 +39,6 @@ import (
 	"retypd/internal/ctype"
 	"retypd/internal/label"
 	"retypd/internal/lattice"
-	"retypd/internal/pgraph"
 	"retypd/internal/sketch"
 	"retypd/internal/solver"
 	"retypd/internal/summaries"
@@ -64,12 +63,6 @@ type (
 	Scheme = constraints.Scheme
 	// Signature is a rendered C procedure signature.
 	Signature = ctype.Signature
-	// SimplifyCache is a shareable memo of scheme simplifications; see
-	// NewSimplifyCache and Config.SchemeCache.
-	SimplifyCache = pgraph.SimplifyCache
-	// ShapeCache is a shareable memo of phase-2 shape solving; see
-	// NewShapeCache and Config.ShapeCache.
-	ShapeCache = sketch.ShapeCache
 	// AnalysisError is the structured failure of one inference run: a
 	// task panicked, the scheduler contained it, and nothing was
 	// published. It carries the faulting task's identity (phase, SCC
@@ -85,32 +78,6 @@ type (
 	// 1-based source line; rendered as "asm:LINE: message".
 	ParseError = asm.ParseError
 )
-
-// NewSimplifyCache returns a scheme-simplification memo bounded to
-// capacity entries (capacity ≤ 0 selects a default of a few thousand).
-// One cache may be shared across any number of concurrent Infer calls,
-// programs, and lattices: entries are keyed by a canonical
-// constraint-set fingerprint that includes the lattice identity, so a
-// hit is only ever served to an isomorphic constraint set. Share one
-// cache across a batch of Infer calls to simplify duplicate leaf
-// procedures once per batch.
-func NewSimplifyCache(capacity int) *SimplifyCache {
-	return pgraph.NewSimplifyCache(capacity)
-}
-
-// NewShapeCache returns a phase-2 shape memo bounded to capacity
-// entries (capacity ≤ 0 selects a default of a few thousand). It
-// memoizes the expensive half of sketch solving — shape quotient
-// construction plus constraint-graph saturation and lattice decoration
-// — under the same canonical-fingerprint keys as the scheme memo, and
-// with the same sharing contract: one cache may be shared across any
-// number of concurrent Infer calls, programs, and lattices. Served
-// sketches are immutable (sealed); operations that derive new sketches
-// from them copy. Share one cache across a batch of Infer calls so
-// duplicate leaf procedures are shape-solved once per batch.
-func NewShapeCache(capacity int) *ShapeCache {
-	return sketch.NewShapeCache(capacity)
-}
 
 // Config customizes inference; the zero value selects the
 // paper-faithful configuration with the stock lattice and summaries.
@@ -140,35 +107,14 @@ type Config struct {
 	// value caps the worker pool at that size. Inference output is
 	// deterministic and byte-identical for every value.
 	Workers int
-	// SchemeCache, when non-nil, memoizes scheme simplification across
-	// procedures with isomorphic constraint sets — including across
-	// Infer calls that share the cache (see NewSimplifyCache for the
-	// sharing contract). Nil gives this Infer call a private cache, so
-	// duplicates are still shared within the call. The cache never
-	// changes inference output, only how often simplification runs.
-	//
-	// Deprecated: hold a long-lived Engine instead — it owns one cache
-	// of each kind, shares them across every call, persists them
-	// (SaveCache/LoadCache), and adds incremental re-analysis on top.
-	// This field remains honored by package-level Infer for one release
-	// and is ignored by Engine.Infer.
-	SchemeCache *SimplifyCache
-	// NoSchemeCache disables simplification memoization entirely, even
-	// when SchemeCache is set — the knob used to measure the uncached
-	// baseline.
+	// NoSchemeCache disables simplification memoization entirely — the
+	// knob used to measure the uncached baseline. By default each Infer
+	// call memoizes scheme simplification across its procedures with
+	// isomorphic constraint sets; an Engine shares the memo across
+	// calls. The memo never changes inference output.
 	NoSchemeCache bool
-	// ShapeCache, when non-nil, memoizes phase-2 sketch solving across
-	// procedures with isomorphic constraint sets — including across
-	// Infer calls that share the cache (see NewShapeCache for the
-	// sharing contract). Nil gives this Infer call a private cache, so
-	// duplicates are still shared within the call. The cache never
-	// changes inference output, only how often shape solving runs; the
-	// sketches it serves are immutable (sealed).
-	//
-	// Deprecated: hold a long-lived Engine instead (see SchemeCache).
-	ShapeCache *ShapeCache
-	// NoShapeCache disables shape memoization entirely, even when
-	// ShapeCache is set.
+	// NoShapeCache disables phase-2 shape memoization entirely, the
+	// sketch-solving counterpart of NoSchemeCache.
 	NoShapeCache bool
 	// MaxInstructions and MaxProcedures are admission guards for
 	// multi-tenant callers: a program exceeding either bound is rejected
@@ -217,10 +163,7 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // re-inferring a program is free of new interning but the table grows
 // with the number of distinct names ever seen and is not reclaimed.
 // A procedure served by body deduplication interns only the names its
-// scheme mentions: the local names of its raw constraint set, which
-// the solver keeps by default, are interned on the set's first read
-// (solver.ProcResult.Constraints), and nothing Result renders reads
-// it. Streaming 8000-instruction
+// scheme mentions. Streaming 8000-instruction
 // binaries that share a renamed half through one Engine (the perfbench
 // fleet workload; 2-CPU Xeon, go1.24) grows the table by about 4700
 // symbols and 8200 derived type variables per program.
@@ -255,9 +198,7 @@ func solverOptions(cfg *Config) solver.Options {
 	opts.Absint = absint.Options{MonomorphicCalls: cfg.Monomorphic}
 	opts.NoSpecialize = cfg.NoSpecialize
 	opts.Workers = cfg.Workers
-	opts.SchemeCache = cfg.SchemeCache
 	opts.NoSchemeCache = cfg.NoSchemeCache
-	opts.ShapeCache = cfg.ShapeCache
 	opts.NoShapeCache = cfg.NoShapeCache
 	opts.NoBodyDedup = cfg.NoBodyDedup
 	opts.MaxInstructions = cfg.MaxInstructions

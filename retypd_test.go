@@ -121,17 +121,18 @@ func TestResultConcurrentRender(t *testing.T) {
 	}
 }
 
-// TestSharedShapeCachePublicAPI: the public Config.ShapeCache knob —
-// a cache shared across Infer calls serves the second call from memo
-// without changing any displayed output, and NoShapeCache really
-// disables it.
+// TestSharedShapeCachePublicAPI: an Engine shares its shape memo
+// across Infer calls — the second call is served from memo without
+// changing any displayed output — and NoShapeCache really disables it.
+// Body dedup is off so the second call reaches the shape memo instead
+// of being served whole from the engine's body-class table.
 func TestSharedShapeCachePublicAPI(t *testing.T) {
 	prog := MustParseAsm(closeLastAsm)
-	cache := NewShapeCache(0)
+	eng := NewEngine(nil)
 
 	baseline := Infer(prog, &Config{NoShapeCache: true, NoSchemeCache: true})
-	r1 := Infer(prog, &Config{ShapeCache: cache})
-	r2 := Infer(prog, &Config{ShapeCache: cache})
+	r1 := eng.Infer(prog, &Config{NoBodyDedup: true})
+	r2 := eng.Infer(prog, &Config{NoBodyDedup: true})
 
 	// One Report per result: the display converter names typedefs
 	// statefully, so repeated Report calls on one Result differ.
