@@ -65,22 +65,14 @@ func BenchmarkFig10Clusters(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Scaling measures inference time across program sizes
-// and fits the power law (the paper's N^1.098).
-func BenchmarkFig11Scaling(b *testing.B) {
+// BenchmarkFig11Fig12Scaling runs the size sweep behind Figures 11
+// and 12 once and renders both: the time fit (the paper's N^1.098) and
+// the memory fit (N^0.846).
+func BenchmarkFig11Fig12Scaling(b *testing.B) {
 	cfg := eval.Config{Fig11Sizes: []int{500, 1000, 2000, 4000}}
 	for i := 0; i < b.N; i++ {
 		points := eval.RunScaling(cfg)
 		_ = eval.Figure11(points)
-	}
-}
-
-// BenchmarkFig12Memory measures allocation across program sizes (the
-// paper's N^0.846 memory model).
-func BenchmarkFig12Memory(b *testing.B) {
-	cfg := eval.Config{Fig11Sizes: []int{500, 1000, 2000, 4000}}
-	for i := 0; i < b.N; i++ {
-		points := eval.RunScaling(cfg)
 		_ = eval.Figure12(points)
 	}
 }

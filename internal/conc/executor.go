@@ -83,6 +83,11 @@ type Executor struct {
 	cancelled bool     // stop came from context cancellation
 	hooks     SchedHooks
 	pval      *WorkerPanic
+	// done is the run context's Done channel (nil when uncancellable).
+	// next polls it at every task boundary, so a cancel stops the pool
+	// from handing out tasks the moment it returns, not when the
+	// watcher goroutine is next scheduled.
+	done <-chan struct{}
 }
 
 // workerSub is the Submitter handed to tasks running on worker w.
@@ -125,6 +130,14 @@ func (e *Executor) next(w int) (Task, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
+		if !e.stopped && e.done != nil {
+			select {
+			case <-e.done:
+				e.stopped, e.cancelled = true, true
+				e.cond.Broadcast()
+			default:
+			}
+		}
 		if e.stopped {
 			return Task{}, false
 		}
@@ -254,15 +267,16 @@ func RunPoolCtx(ctx context.Context, workers int, hooks *SchedHooks, seed func(s
 		return err
 	}
 	w := Limit(workers)
-	e := &Executor{deques: make([][]Task, w)}
+	e := &Executor{deques: make([][]Task, w), done: ctx.Done()}
 	e.cond = sync.NewCond(&e.mu)
 	if hooks != nil {
 		e.hooks = *hooks
 	}
 
 	// The watcher turns ctx cancellation into a pool stop, waking parked
-	// workers. Background/TODO contexts (Done() == nil) skip it, so the
-	// uncancellable path spawns no extra goroutine.
+	// workers (busy ones see it in next). Background/TODO contexts
+	// (Done() == nil) skip it, so the uncancellable path spawns no extra
+	// goroutine.
 	var watchWG sync.WaitGroup
 	watchDone := make(chan struct{})
 	if ctx.Done() != nil {
@@ -299,8 +313,9 @@ func RunPoolCtx(ctx context.Context, workers int, hooks *SchedHooks, seed func(s
 	if e.pval != nil {
 		return e.pval
 	}
-	// cancelled was set by the watcher (before it exited, so the
-	// WaitGroup gives the happens-before edge): queued work was dropped.
+	// cancelled was set by a worker in next or by the watcher, each
+	// joined above (the WaitGroups give the happens-before edge): queued
+	// work was dropped.
 	if e.cancelled {
 		return ctx.Err()
 	}

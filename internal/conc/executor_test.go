@@ -171,14 +171,21 @@ func TestRunPoolCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// TestRunPoolCtxMidRunCancel: a cancel from inside a task ends an
+// endless task graph, and no worker takes a task from the pool after
+// the cancel returned — only the at most w-1 tasks other workers had
+// already taken may start after it.
 func TestRunPoolCtxMidRunCancel(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int64
+		var ran, late atomic.Int64
 		err := RunPoolCtx(ctx, w, nil, func(sub Submitter) {
 			var spawn func() Task
 			spawn = func() Task {
 				return Task{Run: func(s Submitter) {
+					if ctx.Err() != nil {
+						late.Add(1)
+					}
 					if ran.Add(1) == 10 {
 						cancel()
 					}
@@ -193,6 +200,9 @@ func TestRunPoolCtxMidRunCancel(t *testing.T) {
 		})
 		if err != context.Canceled {
 			t.Fatalf("w=%d: err = %v, want context.Canceled", w, err)
+		}
+		if n := late.Load(); n > int64(w-1) {
+			t.Errorf("w=%d: %d tasks started after the cancel, want at most %d", w, n, w-1)
 		}
 	}
 }

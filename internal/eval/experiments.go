@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -198,17 +197,10 @@ type ScalingPoint struct {
 	// proxy for Figure 12 (the paper measured peak RSS; allocation
 	// volume is the closest hardware-independent analogue).
 	AllocBytes float64
-	// Kind tags special measurement modes: "" for the plain scaling
-	// sweep, "cold"/"warm" for the persistence experiment (infer with
-	// empty caches vs. infer after loading the saved cache stack in a
-	// fresh engine), "incremental" for Engine.Reanalyze after a
-	// 1-procedure mutation, "fleet-cold"/"fleet-warm" for the fleet
-	// experiment (RunFleet).
-	Kind string `json:",omitempty"`
-	// CrossHits counts procedures served from the persistent
-	// body-class table across program boundaries (fleet experiment
-	// only).
-	CrossHits uint64 `json:",omitempty"`
+	// Mallocs is the number of heap objects allocated during inference.
+	// At one worker it repeats to within a fraction of a percent, so
+	// tests fit it where a wall-clock fit would measure the host.
+	Mallocs float64
 }
 
 // RunScaling measures inference time and allocation across program
@@ -223,27 +215,13 @@ func RunScaling(cfg Config) []ScalingPoint {
 	return out
 }
 
-// RunParallelSweep measures one program size at several worker counts —
-// the wall-clock speedup table behind the Appendix F parallelization
-// claim.
-func RunParallelSweep(size int, workerCounts []int) []ScalingPoint {
-	var out []ScalingPoint
-	for _, w := range workerCounts {
-		// Fixed seed: every worker count measures the same program.
-		out = append(out, measureScale(size, 8, w))
-	}
-	return out
-}
-
 // scaleTrials is the number of repetitions measureScale takes the
-// median over. Wall-clock points feed the w4/w1 scaling gate
-// (scripts/check_scaling.sh), which runs on noisy shared CI machines —
-// a single sample regularly swings ±30% there, while the median of
-// five is stable enough for a threshold comparison.
+// median over, so one slow or GC-heavy sample does not bend the
+// Figure 11 and 12 tables.
 const scaleTrials = 5
 
 // measureScale runs one (size, workers) inference scaleTrials times,
-// recording the median wall clock and allocation volume.
+// recording the median wall clock, allocation volume and object count.
 func measureScale(size int, seed int64, workers int) ScalingPoint {
 	lat := lattice.Default()
 	b := corpus.Generate(fmt.Sprintf("scale%d", size), seed, size)
@@ -256,6 +234,7 @@ func measureScale(size int, seed int64, workers int) ScalingPoint {
 
 	secs := make([]float64, scaleTrials)
 	allocs := make([]float64, scaleTrials)
+	mallocs := make([]float64, scaleTrials)
 	for i := range secs {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -266,12 +245,14 @@ func measureScale(size int, seed int64, workers int) ScalingPoint {
 		runtime.ReadMemStats(&m1)
 		_ = res
 		allocs[i] = float64(m1.TotalAlloc - m0.TotalAlloc)
+		mallocs[i] = float64(m1.Mallocs - m0.Mallocs)
 	}
 	return ScalingPoint{
 		Insts:      b.Insts,
 		Workers:    conc.Limit(workers),
 		Seconds:    median(secs),
 		AllocBytes: median(allocs),
+		Mallocs:    median(mallocs),
 	}
 }
 
@@ -284,214 +265,6 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// RunWarmStart measures the engine persistence and incrementality path
-// at one program size: a cold engine Infer, a warm Infer in a fresh
-// engine that loaded the first engine's saved cache file, and an
-// incremental Reanalyze after mutating one procedure. The three points
-// (Kind "cold"/"warm"/"incremental") quantify what a service gains from
-// a durable cache across restarts and from the session between edits.
-func RunWarmStart(size int, seed int64, workers int) []ScalingPoint {
-	lat := lattice.Default()
-	b := corpus.Generate(fmt.Sprintf("warm%d", size), seed, size)
-	prog, err := asm.Parse(b.Source)
-	if err != nil {
-		panic(err)
-	}
-	opts := solver.DefaultOptions()
-	opts.Workers = workers
-
-	measure := func(kind string, run func()) ScalingPoint {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		run()
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		return ScalingPoint{
-			Insts:      b.Insts,
-			Workers:    conc.Limit(workers),
-			Seconds:    elapsed.Seconds(),
-			AllocBytes: float64(m1.TotalAlloc - m0.TotalAlloc),
-			Kind:       kind,
-		}
-	}
-
-	var out []ScalingPoint
-	eng := solver.NewEngine(0, 0)
-	out = append(out, measure("cold", func() { eng.Infer(prog, lat, nil, opts) }))
-
-	dir, err := os.MkdirTemp("", "retypd-warm")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	path := dir + "/cache"
-	if err := eng.SaveCache(path); err != nil {
-		panic(err)
-	}
-	warmEng, _, err := solver.LoadCache(path, 0, 0)
-	if err != nil {
-		panic(err)
-	}
-	out = append(out, measure("warm", func() { warmEng.Infer(prog, lat, nil, opts) }))
-
-	// Incremental: mutate the first top-level procedure and reanalyze
-	// against the cold engine's session.
-	mutSrc := strings.Replace(b.Source, "proc "+prog.Procs[0].Name+"\n",
-		"proc "+prog.Procs[0].Name+"\n    mov ecx, 12345\n", 1)
-	mut, err := asm.Parse(mutSrc)
-	if err != nil {
-		panic(err)
-	}
-	out = append(out, measure("incremental", func() { eng.Reanalyze(mut, lat, nil, opts) }))
-	return out
-}
-
-// RunFleet measures what the persistent body-class table is worth
-// across a fleet of binaries built from one codebase: n binaries of
-// `size` instructions each, a `shared` fraction of which is a common
-// library under a binary-local rename (corpus.GenerateFleet). Binary 1
-// is analyzed cold and its cache stack saved; each subsequent binary is
-// analyzed by a fresh engine that loaded the accumulated cache file —
-// one process per binary, the fleet-serving deployment shape. The
-// returned points carry Kind "fleet-cold" (binary 1) and "fleet-warm"
-// (binaries 2..n, with CrossHits = procedures served across program
-// boundaries from the persisted table). Each point is the median of
-// scaleTrials repetitions — the cold/warm ratio feeds the
-// scripts/check_fleet.sh gate, which needs the same noise immunity as
-// the scaling gate.
-func RunFleet(n int, shared float64, size int, seed int64, workers int) []ScalingPoint {
-	lat := lattice.Default()
-	benches := corpus.GenerateFleet("fleet", seed, size, n, shared)
-	opts := solver.DefaultOptions()
-	opts.Workers = workers
-
-	progs := make([]*asm.Program, len(benches))
-	for i, b := range benches {
-		p, err := asm.Parse(b.Source)
-		if err != nil {
-			panic(err)
-		}
-		progs[i] = p
-	}
-
-	// measure runs one binary scaleTrials times, each trial against a
-	// freshly built engine (cold: empty; warm: loaded from the
-	// accumulated cache file), and records the median inference time.
-	// Engine construction and the cache load stay outside the timer: a
-	// serving process pays them once, the per-binary analysis many
-	// times. Body-class entries are decoded on first hit, so the timer
-	// does cover decoding the entries this binary hits. The last
-	// trial's engine is returned so its grown cache can be saved for
-	// the next binary.
-	measure := func(kind string, insts int, newEngine func() *solver.Engine, prog *asm.Program) (ScalingPoint, *solver.Engine, *solver.Result) {
-		secs := make([]float64, scaleTrials)
-		allocs := make([]float64, scaleTrials)
-		var eng *solver.Engine
-		var res *solver.Result
-		for t := range secs {
-			eng = newEngine()
-			eng.DisableSessionRecording()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			res = eng.Infer(prog, lat, nil, opts)
-			secs[t] = time.Since(start).Seconds()
-			runtime.ReadMemStats(&m1)
-			allocs[t] = float64(m1.TotalAlloc - m0.TotalAlloc)
-		}
-		return ScalingPoint{
-			Insts:      insts,
-			Workers:    conc.Limit(workers),
-			Seconds:    median(secs),
-			AllocBytes: median(allocs),
-			Kind:       kind,
-		}, eng, res
-	}
-
-	dir, err := os.MkdirTemp("", "retypd-fleet")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	path := dir + "/cache"
-
-	// The fleet never re-analyzes an edited binary; every engine is a
-	// pure cache sharer.
-	var out []ScalingPoint
-	p, eng, _ := measure("fleet-cold", benches[0].Insts,
-		func() *solver.Engine { return solver.NewEngine(0, 0) }, progs[0])
-	out = append(out, p)
-	if err := eng.SaveCache(path); err != nil {
-		panic(err)
-	}
-	for i := 1; i < len(progs); i++ {
-		p, weng, res := measure("fleet-warm", benches[i].Insts, func() *solver.Engine {
-			e, _, err := solver.LoadCache(path, 0, 0)
-			if err != nil {
-				panic(err)
-			}
-			return e
-		}, progs[i])
-		p.CrossHits = res.BodyDedupCrossHits
-		out = append(out, p)
-		// Accumulate: binary i's classes serve binary i+1 too.
-		if err := weng.SaveCache(path); err != nil {
-			panic(err)
-		}
-	}
-	return out
-}
-
-// FigureFleet renders the fleet-serving table from RunFleet's points.
-func FigureFleet(points []ScalingPoint) string {
-	t := &Table{
-		Title:   "Fleet serving — cross-program body classes via the persisted cache",
-		Headers: []string{"binary", "mode", "instructions", "wall seconds", "speedup", "cross-program hits"},
-	}
-	var cold float64
-	for _, p := range points {
-		if p.Kind == "fleet-cold" {
-			cold = p.Seconds
-		}
-	}
-	for i, p := range points {
-		sp := "—"
-		if p.Kind != "fleet-cold" && cold > 0 && p.Seconds > 0 {
-			sp = fmt.Sprintf("%.1f×", cold/p.Seconds)
-		}
-		t.AddRow(fmt.Sprint(i+1), strings.TrimPrefix(p.Kind, "fleet-"),
-			fmt.Sprint(p.Insts), fmt.Sprintf("%.4f", p.Seconds), sp, fmt.Sprint(p.CrossHits))
-	}
-	return t.String()
-}
-
-// FigureWarmStart renders the persistence/incrementality table from
-// RunWarmStart's points.
-func FigureWarmStart(points []ScalingPoint) string {
-	t := &Table{
-		Title:   "Engine warm start — cold vs persisted-cache vs incremental re-analysis",
-		Headers: []string{"mode", "instructions", "workers", "wall seconds", "speedup", "MB allocated"},
-	}
-	var cold float64
-	for _, p := range points {
-		if p.Kind == "cold" {
-			cold = p.Seconds
-		}
-	}
-	for _, p := range points {
-		sp := "—"
-		if p.Kind != "cold" && cold > 0 && p.Seconds > 0 {
-			sp = fmt.Sprintf("%.1f×", cold/p.Seconds)
-		}
-		t.AddRow(p.Kind, fmt.Sprint(p.Insts), fmt.Sprint(p.Workers),
-			fmt.Sprintf("%.4f", p.Seconds), sp, fmt.Sprintf("%.1f", p.AllocBytes/1e6))
-	}
-	return t.String()
 }
 
 // Figure11 renders the time-scaling fit (paper: t = 0.000725·N^1.098,
@@ -514,36 +287,6 @@ func Figure11(points []ScalingPoint) string {
 			fit.A, fit.B, fit.R2) +
 		fmt.Sprintf("log-log fit     : t = %.3g · N^%.3f   (R² = %.3f)   [§6.6 note comparison]\n",
 			ll.A, ll.B, ll.R2)
-}
-
-// FigureParallel renders the wall-clock speedup of the concurrent
-// solver pipeline at each worker count, against the workers=1 row
-// (Appendix F: per-SCC scheme inference is embarrassingly parallel
-// across independent call-graph components).
-func FigureParallel(points []ScalingPoint) string {
-	t := &Table{
-		Title:   "Parallel solver — wall-clock speedup vs worker count",
-		Headers: []string{"instructions", "workers", "wall seconds", "speedup"},
-	}
-	var base float64
-	if len(points) > 0 {
-		base = points[0].Seconds
-	}
-	for _, p := range points {
-		if p.Workers == 1 {
-			base = p.Seconds
-			break
-		}
-	}
-	for _, p := range points {
-		sp := "—"
-		if base > 0 && p.Seconds > 0 {
-			sp = fmt.Sprintf("%.2f×", base/p.Seconds)
-		}
-		t.AddRow(fmt.Sprint(p.Insts), fmt.Sprint(p.Workers),
-			fmt.Sprintf("%.3f", p.Seconds), sp)
-	}
-	return t.String()
 }
 
 // Figure12 renders the memory-scaling fit (paper: m = 0.037·N^0.846,

@@ -247,8 +247,8 @@ func TestAutoShardSmallCapacityExactLRU(t *testing.T) {
 }
 
 // BenchmarkShardedContention measures 8 goroutines hammering hit-path
-// lookups, sharded vs unsharded — the convoying PROFILE_2 showed on the
-// memo locks. Recorded alongside BENCH_6.
+// lookups, sharded vs unsharded — the lock convoying the solver's
+// memo caches showed before they were sharded.
 func BenchmarkShardedContention(b *testing.B) {
 	const keyspace = 512
 	run := func(b *testing.B, c cacheSurface) {

@@ -118,3 +118,30 @@ func TestPanicMidF2Contained(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGuardedAllocatesNothing: the panic containment every pipeline
+// task runs inside allocates nothing when no SchedHooks are installed,
+// the production configuration, so it adds no per-task cost a count can
+// see.
+func TestRunGuardedAllocatesNothing(t *testing.T) {
+	pl := &pipeline{opts: DefaultOptions()}
+	ran := 0
+	task := func() { ran++ }
+	for _, tc := range []struct {
+		phase string
+		scc   int
+		proc  string
+	}{{"F.0", 2, "p"}, {"F.1", 3, "p"}, {"F.2", -1, "p"}, {"F.3", -1, ""}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if !pl.runGuarded(tc.phase, tc.scc, tc.proc, task) {
+				t.Fatal("task did not complete")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: runGuarded made %.1f allocations per task, want 0", tc.phase, allocs)
+		}
+	}
+	if ran == 0 {
+		t.Fatal("runGuarded never ran the task")
+	}
+}

@@ -5,9 +5,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"retypd/internal/asm"
 	"retypd/internal/cfg"
+	"retypd/internal/conc"
+	"retypd/internal/corpus"
 	"retypd/internal/lattice"
 	"retypd/internal/schedtest"
 )
@@ -231,5 +234,68 @@ func TestSchedTraceOrderIsHappensBefore(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("no events recorded")
+	}
+}
+
+// TestReadinessPoolRunsSCCsConcurrently replaces a wall-clock speedup
+// gate with a proof of concurrency that holds on any CPU count: at
+// Workers=4 the first pool task (an F.1) is held in its BeforeTask hook
+// until a second pool task has started. Until the held SCC publishes,
+// nothing that depends on it is ready, so the second task can only be
+// another worker picking up an independent SCC. A pool that ran one
+// task at a time would never start it; the deadline turns that into a
+// failure instead of a hang. No more than Workers tasks are ever in
+// their hooks at once, and the held schedule changes no output.
+func TestReadinessPoolRunsSCCsConcurrently(t *testing.T) {
+	const workers = 4
+	lat := lattice.Default()
+	prog := asm.MustParse(corpus.Generate("concurrent", 3, 4000).Source)
+
+	var (
+		mu                    sync.Mutex
+		started, inHook, peak int
+		gaveUp                bool
+	)
+	second := make(chan struct{})
+	opts := DefaultOptions()
+	opts.Workers = workers
+	opts.SchedHooks = &conc.SchedHooks{BeforeTask: func(phase, _ string) {
+		if phase != "F.1" && phase != "F.2" {
+			return // F.0 and F.3 do not run on the readiness pool
+		}
+		mu.Lock()
+		started++
+		n := started
+		inHook++
+		peak = max(peak, inHook)
+		mu.Unlock()
+		switch n {
+		case 1:
+			select {
+			case <-second:
+			case <-time.After(time.Minute):
+				mu.Lock()
+				gaveUp = true
+				mu.Unlock()
+			}
+		case 2:
+			close(second)
+		}
+		mu.Lock()
+		inHook--
+		mu.Unlock()
+	}}
+	res := Infer(prog, lat, nil, opts)
+
+	if gaveUp {
+		t.Fatal("no second task started while the first was held")
+	}
+	if peak > workers {
+		t.Errorf("%d tasks were in flight at once, want at most Workers=%d", peak, workers)
+	}
+	seq := DefaultOptions()
+	seq.Workers = 1
+	if dumpAll(res) != dumpAll(Infer(prog, lat, nil, seq)) {
+		t.Error("output under the held schedule differs from the sequential run")
 	}
 }

@@ -3,7 +3,7 @@
 #
 # Every relative markdown link in README.md and docs/*.md must resolve
 # to a file or directory that exists, so the README's pointers into the
-# tree (architecture doc, bench snapshots, scripts) cannot silently rot
+# tree (architecture doc, benchmark module, scripts) cannot silently rot
 # as the codebase is refactored. The nested tools/ module (retypd-vet
 # and its meta-test, which pins the ARCHITECTURE.md invariants table to
 # the analyzer suite) must also build and pass its tests — the main
