@@ -686,9 +686,6 @@ type CallGraph struct {
 	// Callees[p] lists distinct program procedures called (or
 	// tail-called) by p.
 	Callees map[string][]string
-	// Externals[p] lists called names with no definition in the
-	// program.
-	Externals map[string][]string
 	// SCCs lists strongly connected components in bottom-up (callee
 	// first) order.
 	SCCs [][]string
@@ -700,22 +697,30 @@ type CallGraph struct {
 // callee-first order InferProcTypes needs, §4.2).
 func BuildCallGraph(prog *asm.Program) *CallGraph {
 	cg := &CallGraph{
-		Prog:      prog,
-		Callees:   make(map[string][]string, len(prog.Procs)),
-		Externals: make(map[string][]string, len(prog.Procs)),
+		Prog:    prog,
+		Callees: make(map[string][]string, len(prog.Procs)),
 	}
-	// Distinct-callee lists are short, so dedup by linear scan — two
-	// per-procedure maps here dominated the whole build's allocations.
-	contains := func(list []string, s string) bool {
-		for _, v := range list {
-			if v == s {
-				return true
-			}
+	// Dense procedure ids, in order of first appearance in prog.Procs,
+	// so the search itself touches no maps. Each call target is looked
+	// up once, and every procedure's callee names and ids are windows of
+	// two shared backing arrays.
+	ids := make(map[string]int, len(prog.Procs))
+	names := make([]string, 0, len(prog.Procs))
+	pid := make([]int, len(prog.Procs))
+	for k, p := range prog.Procs {
+		id, ok := ids[p.Name]
+		if !ok {
+			id = len(names)
+			ids[p.Name] = id
+			names = append(names, p.Name)
 		}
-		return false
+		pid[k] = id
 	}
-	for _, p := range prog.Procs {
-		var callees, exts []string
+	var tgts []string
+	var outs []int
+	lo := make([]int, len(prog.Procs)+1)
+	for k, p := range prog.Procs {
+		lo[k] = len(outs)
 		for _, in := range p.Insts {
 			var tgt string
 			switch in.Op {
@@ -729,50 +734,24 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 			if tgt == "" {
 				continue
 			}
-			if _, ok := prog.ProcIndex[tgt]; ok {
-				if !contains(callees, tgt) {
-					callees = append(callees, tgt)
-				}
-			} else if !contains(exts, tgt) {
-				exts = append(exts, tgt)
+			// Distinct-callee lists are short, so dedup by linear scan.
+			if w, ok := ids[tgt]; ok && !slices.Contains(outs[lo[k]:], w) {
+				outs = append(outs, w)
+				tgts = append(tgts, tgt)
 			}
 		}
-		if len(callees) > 0 {
-			cg.Callees[p.Name] = callees
+	}
+	lo[len(prog.Procs)] = len(outs)
+	succ := make([][]int, len(names))
+	for k, p := range prog.Procs {
+		a, b := lo[k], lo[k+1]
+		if a < b {
+			cg.Callees[p.Name] = tgts[a:b:b]
 		}
-		if len(exts) > 0 {
-			cg.Externals[p.Name] = exts
-		}
+		succ[pid[k]] = outs[a:b:b]
 	}
 
-	// Tarjan SCC, over dense procedure ids so the search itself touches
-	// no maps (ids follow first appearance in prog.Procs, then in the
-	// callee lists; the visit order is the same as over names).
-	ids := make(map[string]int, len(prog.Procs))
-	var names []string
-	id := func(s string) int {
-		i, ok := ids[s]
-		if !ok {
-			i = len(names)
-			ids[s] = i
-			names = append(names, s)
-		}
-		return i
-	}
-	for _, p := range prog.Procs {
-		id(p.Name)
-	}
-	for _, p := range prog.Procs {
-		for _, c := range cg.Callees[p.Name] {
-			id(c)
-		}
-	}
-	succ := make([][]int, len(names))
-	for i, name := range names {
-		for _, c := range cg.Callees[name] {
-			succ[i] = append(succ[i], ids[c])
-		}
-	}
+	// Tarjan SCC over the dense ids.
 	index := make([]int, len(names))
 	for i := range index {
 		index[i] = -1
@@ -816,8 +795,8 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 			cg.SCCs = append(cg.SCCs, scc)
 		}
 	}
-	for _, p := range prog.Procs {
-		if v := ids[p.Name]; index[v] < 0 {
+	for v := range names {
+		if index[v] < 0 {
 			strongconnect(v)
 		}
 	}

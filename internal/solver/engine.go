@@ -5,13 +5,13 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"retypd/internal/asm"
 	"retypd/internal/bodyfp"
 	"retypd/internal/cfg"
 	"retypd/internal/conc"
-	"retypd/internal/constraints"
 	"retypd/internal/lattice"
 	"retypd/internal/pgraph"
 	"retypd/internal/sketch"
@@ -93,18 +93,24 @@ type session struct {
 	// never the table, so compatibility is always a digest compare.
 	sumsDig string
 	opts    Options
-	procs   map[string]*procSnap
-	// sccKey maps each procedure to a canonical rendering of its SCC's
-	// member set; a membership change invalidates the whole SCC even
-	// when a member's own body did not change (its scheme was
-	// simplified relative to the old SCC union).
-	sccKey map[string]string
+	// index maps each procedure name to its snapshot in snaps.
+	index map[string]int
+	snaps []procSnap
+}
+
+// snap returns the named procedure's snapshot, or nil.
+func (s *session) snap(name string) *procSnap {
+	if i, ok := s.index[name]; ok {
+		return &s.snaps[i]
+	}
+	return nil
 }
 
 // procSnap is one procedure's session snapshot.
 //
 //retypd:cachekey Engine.SaveSessionTo
 type procSnap struct {
+	name string
 	// fp is the portable body fingerprint (named callee identities), the
 	// dirtiness oracle: equal fingerprints plus clean transitive callees
 	// imply byte-identical pipeline output for the procedure.
@@ -116,14 +122,24 @@ type procSnap struct {
 	// (docs/ARCHITECTURE.md invariant) — the first Reanalyze after a
 	// load rebuilds it from the new program's CFG.
 	//retypd:notkey program-relative CFG state, rebuilt on load by the first Reanalyze
-	info   *cfg.ProcInfo
-	scheme *constraints.Scheme
-	// pr is the full phase-2/3 result; its Sketch is sealed at record
-	// time so replays can share it across runs and goroutines.
+	info *cfg.ProcInfo
+	// pr is the full phase-1/2/3 result. Its sketches — Sketch and the
+	// specialized parameters — are sealed at record time, so a replay
+	// shares it, pointer and all, across runs and goroutines.
 	pr *ProcResult
+	// refined reports that pr carries its F.3 output. Snapshots loaded
+	// from disk carry none, so the first Reanalyze after a load refines
+	// every procedure again.
+	//retypd:notkey always false on load: the wire form carries no F.3 output
+	refined bool
 	// obs are the callsite-actual observations the procedure
 	// contributed to phase 3, replayed verbatim for clean procedures.
 	obs []actualObs
+	// scc lists the members of the procedure's SCC, in call-graph
+	// slice order; a membership change invalidates the whole SCC even
+	// when a member's own body did not change (its scheme was
+	// simplified relative to the old SCC union).
+	scc []string
 }
 
 // sessionConfig derives the body-fingerprint configuration of a run.
@@ -208,7 +224,7 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, nil, nil)
+	e.record(lat, sums, opts, res, art)
 	return res, nil
 }
 
@@ -256,182 +272,192 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	opts = e.withEngineCaches(opts)
 	opts.ctx = ctx
 
-	// Rebuild the program analyses in parallel, rebasing every unchanged
-	// procedure body onto the new program instead of re-running its
-	// per-procedure analyses (a session loaded from disk carries no
-	// analyses, so its first Reanalyze re-analyzes everything); the
-	// interprocedural HasOut fixpoint always re-runs. Byte-identical
-	// bodies share one analysis: ProcInfo is a pure function of the
-	// instruction stream, so one representative per group is analyzed
-	// and the rest clone — the same economy the body-dedup layer gives a
-	// cold run (dedup.go), without which warm-path CFG analysis would
-	// dominate Reanalyze on duplicate-heavy programs.
-	workers := conc.Limit(opts.Workers)
-	infoList := make([]*cfg.ProcInfo, len(prog.Procs))
-	snaps := make([]*procSnap, len(prog.Procs)) // nil: new procedure
-	rep := make([]int, len(prog.Procs))
-	bodyGroups := make(map[uint64][]int, len(prog.Procs))
-	for i, p := range prog.Procs {
-		snaps[i] = sess.procs[p.Name]
-		rep[i] = i
+	// Every per-procedure slice below is indexed like the pipeline's
+	// canonical order, which the plan hands on to the run.
+	cg := cfg.BuildCallGraph(prog)
+	order, procIdx := pipelineOrder(cg)
+	n := len(order)
+	plan := &incrementalPlan{
+		order:   order,
+		procIdx: procIdx,
+		snaps:   make([]*procSnap, n),
+		infos:   make([]*cfg.ProcInfo, n),
+		fps:     make([]*bodyfp.FP, n),
+		dirty:   make([]bool, n),
+		refine:  make([]bool, n),
+	}
+	procs := make([]*asm.Proc, n)
+	for _, p := range prog.Procs {
+		procs[procIdx[p.Name]] = p
+	}
+
+	// Rebuild the program analyses. A body equal to its snapshot's
+	// reuses the snapshot's analyses, rebased onto the new program, and
+	// its fingerprint: both are functions of the body alone (and of the
+	// session configuration, which the compatibility check above pins).
+	// The other bodies are analyzed and fingerprinted in parallel; a
+	// session loaded from disk carries no analyses, so its first
+	// Reanalyze analyzes everything. Byte-identical bodies among them
+	// share one analysis: ProcInfo is a pure function of the instruction
+	// stream, so one representative per group is analyzed and the rest
+	// clone — the same economy the body-dedup layer gives a cold run
+	// (dedup.go), without which warm-path CFG analysis would dominate
+	// Reanalyze on duplicate-heavy programs. The interprocedural HasOut
+	// fixpoint always re-runs.
+	infoList, fps := plan.infos, plan.fps
+	var reps []int
+	var clones [][2]int // (procedure, its representative)
+	var bodyGroups map[uint64][]int
+	matched := 0
+	for i, p := range procs {
+		snap := sess.snap(order[i])
+		plan.snaps[i] = snap
+		if snap != nil {
+			matched++
+			if snap.info != nil && snap.info.Proc.EqualBody(p) {
+				infoList[i] = snap.info.CloneForProgram(prog, p)
+				fps[i] = snap.fp
+				continue
+			}
+		}
+		if bodyGroups == nil {
+			bodyGroups = map[uint64][]int{}
+		}
 		h := bodyHashOf(p)
+		rep := -1
 		for _, j := range bodyGroups[h] {
-			if prog.Procs[j].EqualBody(p) {
-				rep[i] = j
+			if procs[j].EqualBody(p) {
+				rep = j
 				break
 			}
 		}
-		if rep[i] == i {
+		if rep < 0 {
 			bodyGroups[h] = append(bodyGroups[h], i)
+			reps = append(reps, i)
+		} else {
+			clones = append(clones, [2]int{i, rep})
 		}
 	}
-
-	// Each representative's portable body fingerprint is computed right
-	// after its analysis. A fingerprint is a function of the instruction
-	// stream alone (names enter only as call targets), so byte-identical
-	// bodies share their group's. The call graph, which needs only the
-	// program, is built by the same pool (item 0).
 	conf := sessionConfig(lat, opts)
-	order := prog.Procs
-	fps := make([]*bodyfp.FP, len(order))
-	var cg *cfg.CallGraph
-	if err := conc.ForEachCtx(ctx, workers, len(prog.Procs)+1, func(item int) {
-		if item == 0 {
-			cg = cfg.BuildCallGraph(prog)
-			return
-		}
-		i := item - 1
-		if rep[i] != i {
-			return
-		}
-		p := prog.Procs[i]
-		if snap := snaps[i]; snap != nil && snap.info != nil && snap.info.Proc.EqualBody(p) {
-			infoList[i] = snap.info.CloneForProgram(prog, p)
-		} else {
-			infoList[i] = cfg.Analyze(prog, p)
-		}
-		fps[i] = bodyfp.ComputeWithLiveMask(p, conf, namedCallee, infoList[i].EntryLive)
+	if err := conc.ForEachCtx(ctx, conc.Limit(opts.Workers), len(reps), func(r int) {
+		i := reps[r]
+		infoList[i] = cfg.Analyze(prog, procs[i])
+		fps[i] = bodyfp.ComputeWithLiveMask(procs[i], conf, namedCallee, infoList[i].EntryLive)
 	}); err != nil {
 		return nil, err
 	}
-	for i, p := range prog.Procs {
-		if rep[i] != i {
-			infoList[i] = infoList[rep[i]].CloneForProgram(prog, p)
-			fps[i] = fps[rep[i]]
-		}
+	for _, c := range clones {
+		infoList[c[0]] = infoList[c[1]].CloneForProgram(prog, procs[c[0]])
+		fps[c[0]] = fps[c[1]]
 	}
-	infos := make(map[string]*cfg.ProcInfo, len(prog.Procs))
-	for i, p := range prog.Procs {
-		infos[p.Name] = infoList[i]
+	infos := make(map[string]*cfg.ProcInfo, n)
+	for i, p := range order {
+		infos[p] = infoList[i]
 	}
 	cfg.FinishHasOut(infos)
-	fpOf := make(map[string]*bodyfp.FP, len(order))
-	for i, p := range order {
-		fpOf[p.Name] = fps[i]
-	}
 
 	// Seed dirtiness: new/changed bodies, calls whose target flipped
 	// between program-procedure and external (the fingerprint encodes
 	// only the name, but generation models the two differently), and
-	// SCC membership changes.
-	isProcNew := func(name string) bool { _, ok := infos[name]; return ok }
-	isProcOld := func(name string) bool { _, ok := sess.procs[name]; return ok }
-	dirty := make(map[string]bool, len(order))
-	for i, p := range order {
-		snap := snaps[i]
-		d := snap == nil || !snap.fp.EquivalentTo(fps[i])
-		if !d {
+	// SCC membership changes. Only an added or a removed name can flip.
+	var flipped map[string]bool
+	var removed []*procSnap
+	if matched < n || matched < len(sess.snaps) {
+		flipped = map[string]bool{}
+		for i, snap := range plan.snaps {
+			if snap == nil {
+				flipped[order[i]] = true
+			}
+		}
+		for j := range sess.snaps {
+			snap := &sess.snaps[j]
+			if _, ok := procIdx[snap.name]; !ok {
+				flipped[snap.name] = true
+				removed = append(removed, snap)
+			}
+		}
+	}
+	for i, snap := range plan.snaps {
+		d := snap == nil || (fps[i] != snap.fp && !snap.fp.EquivalentTo(fps[i]))
+		if !d && flipped != nil {
 			for _, c := range fps[i].Calls() {
-				if isProcNew(c.Target) != isProcOld(c.Target) {
+				if flipped[c.Target] {
 					d = true
 					break
 				}
 			}
 		}
-		dirty[p.Name] = d
+		plan.dirty[i] = d
 	}
-	sccKey := sccKeys(cg)
-	for p, key := range sccKey {
-		if sess.sccKey[p] != key {
-			dirty[p] = true
+	// Walk the SCCs in canonical order: each one's members occupy the
+	// next len(scc) slots.
+	i := 0
+	for s := len(cg.SCCs) - 1; s >= 0; s-- {
+		for range cg.SCCs[s] {
+			if snap := plan.snaps[i]; snap != nil && !slices.Equal(snap.scc, cg.SCCs[s]) {
+				plan.dirty[i] = true
+			}
+			i++
 		}
 	}
 
 	// Propagate to ancestors over the condensed call graph: schemes flow
 	// callee→caller, so every SCC that can reach a dirty SCC must
 	// recompute. cg.SCCs is bottom-up (every call edge from SCC i lands
-	// in some SCC j < i), so one forward pass suffices. A dirty SCC
-	// marks all its members, so by the time SCC i is visited a callee in
-	// another SCC is dirty exactly when its SCC is.
+	// in some SCC j < i), so one forward pass suffices; SCC 0 holds the
+	// last slots of the canonical order. A dirty SCC marks all its
+	// members, so by the time SCC i is visited a callee in another SCC
+	// is dirty exactly when its SCC is.
+	end := n
 	for _, scc := range cg.SCCs {
+		start := end - len(scc)
 		d := false
 	outer:
-		for _, p := range scc {
-			if dirty[p] {
+		for i := start; i < end; i++ {
+			if plan.dirty[i] {
 				d = true
 				break
 			}
-			for _, callee := range cg.Callees[p] {
-				if dirty[callee] {
+			for _, callee := range cg.Callees[order[i]] {
+				if plan.dirty[procIdx[callee]] {
 					d = true
 					break outer
 				}
 			}
 		}
 		if d {
-			for _, p := range scc {
-				dirty[p] = true
+			for i := start; i < end; i++ {
+				plan.dirty[i] = true
 			}
 		}
+		end = start
 	}
 
-	replay := make(map[string]*procSnap, len(order))
-	for i, p := range order {
-		if !dirty[p.Name] {
-			replay[p.Name] = snaps[i]
+	// Seed the F.3-dirty set with every term known before the run (see
+	// incrementalPlan); the pipeline adds the callees of the dirty
+	// procedures' new observations.
+	for i, snap := range plan.snaps {
+		pi := infoList[i]
+		switch {
+		case plan.dirty[i]:
+			plan.refine[i] = true
+			if snap != nil {
+				plan.markObserved(snap.obs)
+			}
+		case !snap.refined || snap.pr.HasOut != pi.HasOut || !slices.Equal(snap.pr.FormalIns, pi.FormalIns):
+			plan.refine[i] = true
 		}
 	}
+	for _, snap := range removed {
+		plan.markObserved(snap.obs)
+	}
 
-	res, art, err := infer(prog, lat, sums, opts, infos, cg, &incrementalPlan{dirty: dirty, replay: replay})
+	res, art, err := infer(prog, lat, sums, opts, infos, cg, plan)
 	if err != nil {
 		return nil, err
 	}
-	e.record(lat, sums, opts, res, art, fpOf, sccKey)
+	e.record(lat, sums, opts, res, art)
 	return res, nil
-}
-
-// sccKeys renders each procedure's SCC membership canonically (members
-// are already in deterministic slice order).
-func sccKeys(cg *cfg.CallGraph) map[string]string {
-	out := make(map[string]string, len(cg.SCCs))
-	for _, scc := range cg.SCCs {
-		key := ""
-		for _, p := range scc {
-			key += p + "\x00"
-		}
-		for _, p := range scc {
-			out[p] = key
-		}
-	}
-	return out
-}
-
-// replayProc rebuilds a clean procedure's result from its session
-// snapshot: a fresh shell (phase 3 fills SpecializedIns per run)
-// sharing the immutable pieces — the scheme and the sealed sketch —
-// plus the recorded callsite observations.
-func (pl *pipeline) replayProc(p string) (*ProcResult, []actualObs) {
-	snap := pl.inc.replay[p]
-	pi := pl.infos[p]
-	pr := &ProcResult{
-		Name:           p,
-		FormalIns:      pi.FormalIns,
-		HasOut:         pi.HasOut,
-		Scheme:         snap.scheme,
-		Sketch:         snap.pr.Sketch,
-		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	return pr, snap.obs
 }
 
 // bodyHashSeed keys the in-memory body-grouping hash of Reanalyze. The
@@ -461,59 +487,78 @@ func bodyHashOf(p *asm.Proc) uint64 {
 	return h.Sum64()
 }
 
-// record publishes a run as the engine's session. fpOf and sccKey
-// carry the session fingerprints and SCC keys when the caller already
-// computed them (Reanalyze); otherwise they are computed here. A nil
-// sums stands for the stock table. Runs whose options cannot be
-// compared across calls (trace-restricted generation) are not
-// recorded.
-func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options, res *Result, art *runArtifacts, fpOf map[string]*bodyfp.FP, sccKey map[string]string) {
+// record publishes a run as the engine's session. An incremental run
+// hands over the fingerprints and analyses Reanalyze already holds; a
+// full run's fingerprints are computed here. A nil sums stands for the
+// stock table. Runs whose options cannot be compared across calls
+// (trace-restricted generation) are not recorded.
+//
+// The session takes the run's canonical order and its index as they
+// are, one snapshot per procedure in one slice, and each snapshot
+// points at this run's analyses, so no snapshot keeps an older program
+// alive.
+func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options, res *Result, art *runArtifacts) {
 	if e.noSessions || !sessionable(opts) {
 		return
 	}
 	// Sessions outlive the run; never retain its cancellation context.
 	opts.ctx = nil
-	conf := sessionConfig(lat, opts)
-	if fpOf == nil {
-		fps := make([]*bodyfp.FP, len(art.order))
-		workers := conc.Limit(opts.Workers)
-		conc.ForEach(workers, len(art.order), func(i int) {
+	var fps []*bodyfp.FP
+	var infos []*cfg.ProcInfo
+	if inc := art.inc; inc != nil {
+		fps, infos = inc.fps, inc.infos
+	} else {
+		conf := sessionConfig(lat, opts)
+		fps = make([]*bodyfp.FP, len(art.order))
+		conc.ForEach(conc.Limit(opts.Workers), len(art.order), func(i int) {
 			fps[i] = bodyfp.Compute(res.Prog.ProcIndex[art.order[i]], conf, namedCallee)
 		})
-		fpOf = make(map[string]*bodyfp.FP, len(art.order))
+		infos = make([]*cfg.ProcInfo, len(art.order))
 		for i, p := range art.order {
-			fpOf[p] = fps[i]
+			infos[i] = res.Infos[p]
 		}
-	}
-	if sccKey == nil {
-		sccKey = sccKeys(art.cg)
 	}
 	sess := &session{
 		latSig:  lat.Signature(),
 		sumsDig: sessionSumsDigest(sums),
 		opts:    opts,
-		procs:   make(map[string]*procSnap, len(art.order)),
-		sccKey:  sccKey,
+		index:   art.procIdx,
+		snaps:   make([]procSnap, len(art.order)),
 	}
 	for i, p := range art.order {
 		pr := art.prs[i]
-		// Seal everything a future run will share: the procedure sketch
-		// and the observation sketches. Sealing is idempotent and
-		// read-transparent — derived views copy instead of mutating.
-		if pr.Sketch != nil {
-			pr.Sketch.Seal()
-		}
-		for _, o := range art.obs[i] {
-			if o.sk != nil {
+		// Seal everything a future run will share: the procedure sketch,
+		// the specialized parameters and the observation sketches.
+		// Sealing is idempotent and read-transparent — derived views copy
+		// instead of mutating. A snapshot's own result and observations,
+		// replayed as they are, were sealed when it was recorded.
+		if inc := art.inc; inc == nil || inc.dirty[i] || pr != inc.snaps[i].pr {
+			if pr.Sketch != nil {
+				pr.Sketch.Seal()
+			}
+			for _, sk := range pr.SpecializedIns {
+				sk.Seal()
+			}
+			for _, o := range art.obs[i] {
 				o.sk.Seal()
 			}
 		}
-		sess.procs[p] = &procSnap{
-			fp:     fpOf[p],
-			info:   res.Infos[p],
-			scheme: pr.Scheme,
-			pr:     pr,
-			obs:    art.obs[i],
+		sess.snaps[i] = procSnap{
+			name:    p,
+			fp:      fps[i],
+			info:    infos[i],
+			pr:      pr,
+			refined: true,
+			obs:     art.obs[i],
+		}
+	}
+	// The SCCs in canonical order: each one's members occupy the next
+	// len(scc) slots.
+	i := 0
+	for s := len(art.cg.SCCs) - 1; s >= 0; s-- {
+		for range art.cg.SCCs[s] {
+			sess.snaps[i].scc = art.cg.SCCs[s]
+			i++
 		}
 	}
 	e.mu.Lock()

@@ -1,9 +1,15 @@
 package solver
 
 import (
+	"bytes"
+	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,13 +24,13 @@ import (
 // procedures, so dirtiness propagation to ancestors is observable.
 const engineProgSrc = `
 proc leaf_a
-    mov eax, [ebp+8]
+    mov eax, [esp+4]
     add eax, 1
     ret
 endproc
 
 proc leaf_b
-    mov eax, [ebp+8]
+    mov eax, [esp+4]
     add eax, 2
     ret
 endproc
@@ -298,7 +304,8 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
 
-	wantSCCs, wantProcs := ancestorSCCs(cfg.BuildCallGraph(mut), target)
+	wantSCCs, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
+	wantProcs := len(cone)
 	eng := NewEngine(0, 0)
 	eng.Infer(orig, lat, nil, opts)
 	var c phaseCounter
@@ -397,5 +404,300 @@ func TestEngineLoadRejectsCorruption(t *testing.T) {
 	e2 := NewEngine(0, 0)
 	if _, err := e2.LoadCacheData(data); err == nil {
 		t.Fatal("corrupted cache file loaded without error")
+	}
+}
+
+// midPointerSrc is engineProgSrc with mid passing leaf_a a pointer
+// instead of the constant 7: the actual leaf_a observes moves while
+// leaf_a's own body stays the same.
+func midPointerSrc(t *testing.T) string {
+	t.Helper()
+	src := strings.Replace(engineProgSrc, "    push 7\n    call leaf_a\n",
+		"    mov ecx, [esp+4]\n    mov edx, [ecx]\n    push ecx\n    call leaf_a\n", 1)
+	if src == engineProgSrc {
+		t.Fatal("edit did not apply")
+	}
+	return src
+}
+
+// removeProc returns src without the named procedure.
+func removeProc(t *testing.T, src, proc string) string {
+	t.Helper()
+	start := strings.Index(src, "proc "+proc+"\n")
+	if start < 0 {
+		t.Fatalf("procedure %s not found in source", proc)
+	}
+	end := strings.Index(src[start:], "endproc\n")
+	return src[:start] + src[start+end+len("endproc\n"):]
+}
+
+// specializedOf renders one procedure's F.3-specialized parameters.
+func specializedOf(res *Result, p string) string {
+	pr := res.Procs[p]
+	var locs []string
+	for loc := range pr.SpecializedIns {
+		locs = append(locs, loc)
+	}
+	sort.Strings(locs)
+	var b strings.Builder
+	for _, loc := range locs {
+		fmt.Fprintf(&b, "%s:\n%s", loc, pr.SpecializedIns[loc])
+	}
+	return b.String()
+}
+
+// wantRefined is the F.3-dirty set of a Reanalyze, computed from its
+// definition (incrementalPlan) over the sessions before and after the
+// run and the procedures it recomputed.
+func wantRefined(before, after *session, dirty map[string]bool) map[string]bool {
+	want := map[string]bool{}
+	mark := func(obs []actualObs) {
+		for _, o := range obs {
+			if after.snap(o.key.callee) != nil {
+				want[o.key.callee] = true
+			}
+		}
+	}
+	for i := range after.snaps {
+		s := &after.snaps[i]
+		switch old := before.snap(s.name); {
+		case dirty[s.name]:
+			want[s.name] = true
+			mark(s.obs)
+		case !old.refined || old.pr.HasOut != s.pr.HasOut || !slices.Equal(old.pr.FormalIns, s.pr.FormalIns):
+			want[s.name] = true
+		}
+	}
+	for i := range before.snaps {
+		if s := &before.snaps[i]; dirty[s.name] || after.snap(s.name) == nil {
+			mark(s.obs)
+		}
+	}
+	return want
+}
+
+// checkRefinedOnly asserts that a Reanalyze from prev to inc refined
+// exactly the procedures of want, each once, that every other procedure
+// shares prev's *ProcResult, and that prev still renders as it did.
+func checkRefinedOnly(t *testing.T, c *phaseCounter, want map[string]bool, prev, inc *Result, prevDump string) {
+	t.Helper()
+	for p, n := range c.refined {
+		if !want[p] || n != 1 {
+			t.Errorf("F.3 refined %s %d times, want %d", p, n, map[bool]int{true: 1}[want[p]])
+		}
+	}
+	if len(c.refined) != len(want) {
+		t.Errorf("F.3 items = %d, want one per F.3-dirty procedure (%d)", len(c.refined), len(want))
+	}
+	for p, pr := range inc.Procs {
+		if shared := pr == prev.Procs[p]; shared == want[p] {
+			t.Errorf("%s: result shared with the previous run = %v, want %v", p, shared, !want[p])
+		}
+	}
+	if dumpAll(prev) != prevDump {
+		t.Error("Reanalyze changed the previous Result")
+	}
+}
+
+// TestReanalyzeRefinesMovedActuals: an edit to mid changes the actual
+// it passes to leaf_a, whose body is unchanged. F.3 refines leaf_a
+// again, and only the F.3-dirty procedures: the recomputed mid and top
+// and the callees they observe. lonely, fully clean, keeps its
+// previous *ProcResult.
+func TestReanalyzeRefinesMovedActuals(t *testing.T) {
+	lat := lattice.Default()
+	eng := NewEngine(0, 0)
+	prev := eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	prevDump := dumpAll(prev)
+	before := eng.sess
+
+	src := midPointerSrc(t)
+	var c phaseCounter
+	opts := DefaultOptions()
+	opts.SchedHooks = c.hooks()
+	inc := eng.Reanalyze(asm.MustParse(src), lat, nil, opts)
+	scratch := Infer(asm.MustParse(src), lat, nil, DefaultOptions())
+	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
+		t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
+	}
+	if inc.RecomputedProcs != 2 {
+		t.Errorf("recomputed %d procs, want 2 (mid, top)", inc.RecomputedProcs)
+	}
+	if specializedOf(prev, "leaf_a") == specializedOf(inc, "leaf_a") {
+		t.Error("leaf_a's specialization did not move; the test exercises nothing")
+	}
+	want := map[string]bool{"leaf_a": true, "leaf_b": true, "mid": true, "top": true}
+	if got := wantRefined(before, eng.sess, map[string]bool{"mid": true, "top": true}); !maps.Equal(got, want) {
+		t.Errorf("F.3-dirty set by definition = %v, want %v", got, want)
+	}
+	checkRefinedOnly(t, &c, want, prev, inc, prevDump)
+}
+
+// TestReanalyzeDropsOrphanedSpecialization: when leaf_a loses its only
+// caller's observation — mid is deleted, or mid no longer calls it —
+// leaf_a's specialization goes although leaf_a itself is clean: the
+// removed or recomputed caller's recorded observations make it
+// F.3-dirty.
+func TestReanalyzeDropsOrphanedSpecialization(t *testing.T) {
+	lat := lattice.Default()
+	for _, tc := range []struct{ name, src string }{
+		{"caller removed", removeProc(t, engineProgSrc, "mid")},
+		{"call removed", strings.Replace(engineProgSrc, "    call leaf_a\n", "    call abs\n", 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(0, 0)
+			prev := eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+			if len(prev.Procs["leaf_a"].SpecializedIns) == 0 {
+				t.Fatal("leaf_a has no specialization to drop; the test exercises nothing")
+			}
+			inc := eng.Reanalyze(asm.MustParse(tc.src), lat, nil, DefaultOptions())
+			scratch := Infer(asm.MustParse(tc.src), lat, nil, DefaultOptions())
+			if got, want := dumpAll(inc), dumpAll(scratch); got != want {
+				t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
+			}
+			if n := len(inc.Procs["leaf_a"].SpecializedIns); n != 0 {
+				t.Errorf("leaf_a keeps %d specialized parameters without a caller observing it", n)
+			}
+		})
+	}
+}
+
+// TestReanalyzeRefinesOnlyF3Dirty: on the 4000-instruction corpus, a
+// one-procedure edit makes F.3 refine exactly the F.3-dirty set — a
+// small fraction of the program — while every other procedure shares
+// its previous *ProcResult, the previous Result is left as it was, and
+// the output equals a from-scratch run.
+func TestReanalyzeRefinesOnlyF3Dirty(t *testing.T) {
+	lat := lattice.Default()
+	orig := asm.MustParse(corpus.Generate("engine", 77, 4000).Source)
+	target := orig.Procs[len(orig.Procs)/2].Name
+	src := mutateProc(t, corpus.Generate("engine", 77, 4000).Source, target)
+	mut := asm.MustParse(src)
+
+	eng := NewEngine(0, 0)
+	prev := eng.Infer(orig, lat, nil, DefaultOptions())
+	prevDump := dumpAll(prev)
+	before := eng.sess
+	var c phaseCounter
+	opts := DefaultOptions()
+	opts.SchedHooks = c.hooks()
+	inc := eng.Reanalyze(mut, lat, nil, opts)
+	if dumpAll(inc) != dumpAll(Infer(asm.MustParse(src), lat, nil, DefaultOptions())) {
+		t.Fatal("incremental output differs from a from-scratch run")
+	}
+	_, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
+	if int(inc.RecomputedProcs) != len(cone) {
+		t.Fatalf("recomputed %d procedures, want the %d of the ancestor cone", inc.RecomputedProcs, len(cone))
+	}
+	want := wantRefined(before, eng.sess, cone)
+	if len(want) <= len(cone) || len(want) > len(mut.Procs)/10 {
+		t.Errorf("F.3-dirty set has %d of %d procedures (cone %d); the edit should reach a few callees",
+			len(want), len(mut.Procs), len(cone))
+	}
+	checkRefinedOnly(t, &c, want, prev, inc, prevDump)
+}
+
+// TestReanalyzeEditChain: a chain of edits — body changes, a call that
+// passes an existing procedure a pointer and its removal, new callees,
+// removed procedures, SCCs made and broken, and a save/load restart
+// halfway — each re-analyzed against the previous step's session,
+// equals a from-scratch run at every step. Results reused over several
+// generations must still carry what a from-scratch run computes.
+func TestReanalyzeEditChain(t *testing.T) {
+	lat := lattice.Default()
+	type proc struct {
+		name  string
+		lines []string
+	}
+	var procs []*proc
+	for _, line := range strings.Split(corpus.Generate("chain", 11, 1500).Source, "\n") {
+		switch line = strings.TrimSpace(line); {
+		case strings.HasPrefix(line, "proc "):
+			procs = append(procs, &proc{name: strings.TrimPrefix(line, "proc ")})
+		case line == "endproc" || line == "" || len(procs) == 0:
+		default:
+			p := procs[len(procs)-1]
+			p.lines = append(p.lines, line)
+		}
+	}
+	source := func() string {
+		var b strings.Builder
+		for _, p := range procs {
+			b.WriteString("proc " + p.name + "\n    " + strings.Join(p.lines, "\n    ") + "\nendproc\n")
+		}
+		return b.String()
+	}
+	r := rand.New(rand.NewSource(3))
+	pick := func() *proc { return procs[r.Intn(len(procs))] }
+
+	eng := NewEngine(0, 0)
+	eng.Infer(asm.MustParse(source()), lat, nil, DefaultOptions())
+	var loop *[2]*proc // the back edge the last SCC edit added
+	var passer *proc   // the procedure the last pointer-passing edit changed
+	for step := 0; step < 36; step++ {
+		var what string
+		switch step % 6 {
+		case 0:
+			p := pick()
+			p.lines = append([]string{"xor edx, edx"}, p.lines...)
+			what = "body of " + p.name
+		case 1:
+			passer = pick()
+			q := pick()
+			passer.lines = append([]string{"mov ecx, esp", "push ecx", "call " + q.name, "add esp, 4"}, passer.lines...)
+			what = passer.name + " passes " + q.name + " a pointer"
+		case 2:
+			what = passer.name + " drops its " + passer.lines[2]
+			passer.lines = passer.lines[4:]
+		case 3:
+			callee := &proc{name: fmt.Sprintf("chain_callee_%d", step), lines: []string{"mov eax, [esp+4]", "mov eax, [eax]", "ret"}}
+			p := pick()
+			p.lines = append([]string{"push ecx", "call " + callee.name, "add esp, 4"}, p.lines...)
+			procs = append(procs, callee)
+			what = "new callee of " + p.name
+		case 4:
+			i := r.Intn(len(procs))
+			what = "removed " + procs[i].name
+			procs = append(procs[:i:i], procs[i+1:]...)
+		case 5:
+			if loop != nil {
+				loop[1].lines = loop[1].lines[1:]
+				what, loop = "broke the SCC of "+loop[0].name, nil
+				break
+			}
+			cg := cfg.BuildCallGraph(asm.MustParse(source()))
+			for tries := 0; loop == nil; tries++ {
+				if tries == 1000 {
+					t.Fatal("no call edge to close into an SCC")
+				}
+				a := pick()
+				for _, q := range procs {
+					if len(cg.Callees[a.name]) > 0 && q.name == cg.Callees[a.name][0] && q != a {
+						q.lines = append([]string{"call " + a.name}, q.lines...)
+						loop = &[2]*proc{a, q}
+					}
+				}
+			}
+			what = "made an SCC of " + loop[0].name + " and " + loop[1].name
+		}
+		if step == 18 {
+			var buf bytes.Buffer
+			if err := eng.SaveSessionTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			eng = NewEngine(0, 0)
+			if _, err := eng.LoadSessionData(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			what += ", after a session save/load"
+		}
+		src := source()
+		inc := eng.Reanalyze(asm.MustParse(src), lat, nil, DefaultOptions())
+		if dumpAll(inc) != dumpAll(Infer(asm.MustParse(src), lat, nil, DefaultOptions())) {
+			t.Fatalf("step %d (%s): incremental output differs from scratch", step, what)
+		}
+		if inc.ReplayedProcs == 0 {
+			t.Fatalf("step %d (%s): nothing replayed", step, what)
+		}
 	}
 }

@@ -245,7 +245,7 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 // scheduled reports whether SCC i runs on the graph: every SCC of a
 // full run, only the dirty ones of an incremental run.
 func (s *schedGraph) scheduled(i int) bool {
-	return s.pl.inc == nil || s.pl.inc.dirty[s.cg.SCCs[i][0]]
+	return s.pl.inc == nil || s.pl.inc.dirty[s.pl.procIdx[s.cg.SCCs[i][0]]]
 }
 
 // anyScheduled reports whether any SCC runs on the graph.

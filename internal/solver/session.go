@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"retypd/internal/bodyfp"
 	"retypd/internal/conc"
@@ -102,18 +103,18 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 	buf = binary.AppendVarint(buf, int64(sess.opts.MaxSketchDepth))
 	buf = appendCacheString(buf, sess.sumsDig)
 
-	names := make([]string, 0, len(sess.procs))
-	for p := range sess.procs {
+	names := make([]string, 0, len(sess.index))
+	for p := range sess.index {
 		names = append(names, p)
 	}
 	sort.Strings(names)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	var rec []byte
 	for _, p := range names {
-		snap := sess.procs[p]
-		rec = appendCacheString(rec[:0], p)
+		snap := sess.snap(p)
+		rec = appendCacheString(rec[:0], snap.name)
 		rec = snap.fp.AppendWire(rec)
-		rec = constraints.AppendSchemeWire(rec, snap.scheme)
+		rec = constraints.AppendSchemeWire(rec, snap.pr.Scheme)
 		if snap.pr.Sketch != nil {
 			rec = append(rec, 1)
 			blob := snap.pr.Sketch.AppendWire(nil)
@@ -131,7 +132,7 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 			rec = binary.AppendUvarint(rec, uint64(len(blob)))
 			rec = append(rec, blob...)
 		}
-		rec = appendCacheString(rec, sess.sccKey[p])
+		rec = appendSCCKey(rec, snap.scc)
 		buf = binary.AppendUvarint(buf, uint64(len(rec)))
 		buf = append(buf, rec...)
 	}
@@ -139,6 +140,26 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 	buf = append(buf, sum[:]...)
 	_, err := w.Write(buf)
 	return err
+}
+
+// appendSCCKey appends the wire form of an SCC member list: one cache
+// string holding every member followed by a NUL.
+func appendSCCKey(buf []byte, scc []string) []byte {
+	n := 0
+	for _, p := range scc {
+		n += len(p) + 1
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for _, p := range scc {
+		buf = append(buf, p...)
+		buf = append(buf, 0)
+	}
+	return buf
+}
+
+// parseSCCKey is appendSCCKey's inverse on the key string.
+func parseSCCKey(key string) []string {
+	return strings.Split(strings.TrimSuffix(key, "\x00"), "\x00")
 }
 
 // SaveSession writes the engine's current session to path (atomically,
@@ -226,8 +247,8 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 		return 0, fmt.Errorf("solver: session procedure count %d exceeds file size", count)
 	}
 
-	sess.procs = make(map[string]*procSnap, count)
-	sess.sccKey = make(map[string]string, count)
+	sess.index = make(map[string]int, count)
+	sess.snaps = make([]procSnap, count)
 
 	// Pass 1: walk the length prefixes to find record boundaries.
 	recs := make([][]byte, count)
@@ -249,13 +270,7 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	// records per worker so each stripe's sketch memo needs no lock.
 	// Errors keep the lowest record index so a corrupt file reports
 	// deterministically.
-	type sessRec struct {
-		name   string
-		snap   *procSnap
-		sccKey string
-		err    error
-	}
-	decoded := make([]sessRec, count)
+	errs := make([]error, count)
 	stripes := conc.Limit(0)
 	if stripes > len(recs) {
 		stripes = len(recs)
@@ -263,25 +278,23 @@ func (e *Engine) LoadSessionData(data []byte) (int, error) {
 	conc.ForEach(stripes, stripes, func(k int) {
 		sketches := sketchMemo{}
 		for i := k * len(recs) / stripes; i < (k+1)*len(recs)/stripes; i++ {
-			name, snap, sccKey, err := decodeSessionRecord(recs[i], sketches)
-			decoded[i] = sessRec{name: name, snap: snap, sccKey: sccKey, err: err}
+			errs[i] = decodeSessionRecord(recs[i], sketches, &sess.snaps[i])
 		}
 	})
-	for i := range decoded {
-		if err := decoded[i].err; err != nil {
+	for i := range sess.snaps {
+		if err := errs[i]; err != nil {
 			return 0, err
 		}
-		name := decoded[i].name
-		if _, dup := sess.procs[name]; dup {
+		name := sess.snaps[i].name
+		if _, dup := sess.index[name]; dup {
 			return 0, fmt.Errorf("solver: duplicate procedure %q in session file", name)
 		}
-		sess.procs[name] = decoded[i].snap
-		sess.sccKey[name] = decoded[i].sccKey
+		sess.index[name] = i
 	}
 	e.mu.Lock()
 	e.sess = sess
 	e.mu.Unlock()
-	return len(sess.procs), nil
+	return len(sess.snaps), nil
 }
 
 // sketchMemo shares decoded sketches among the records of one decode
@@ -310,10 +323,10 @@ func (sm sketchMemo) decode(blob []byte, what string) (*sketch.Sketch, error) {
 }
 
 // decodeSessionRecord decodes one per-procedure session record (the
-// bytes inside its length prefix) and must consume it exactly.
-func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, string, error) {
+// bytes inside its length prefix) into snap and must consume it
+// exactly.
+func decodeSessionRecord(rec []byte, sketches sketchMemo, snap *procSnap) error {
 	n := 0
-	fail := func(err error) (string, *procSnap, string, error) { return "", nil, "", err }
 	decodeSketchBlob := func(what string) (*sketch.Sketch, error) {
 		ln, m := binary.Uvarint(rec[n:])
 		if m <= 0 || uint64(len(rec)-n-m) < ln {
@@ -329,62 +342,62 @@ func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, st
 	}
 	name, m, err := decodeCacheString(rec[n:], "procedure name")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	n += m
 	fp, m, err := bodyfp.DecodeFPWire(rec[n:])
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	n += m
 	scheme, m, err := constraints.DecodeSchemeWire(rec[n:])
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	n += m
 	pr := &ProcResult{Name: name, Scheme: scheme, SpecializedIns: map[string]*sketch.Sketch{}}
 	if n >= len(rec) {
-		return fail(fmt.Errorf("solver: truncated session sketch flag"))
+		return fmt.Errorf("solver: truncated session sketch flag")
 	}
 	hasSk := rec[n]
 	n++
 	switch hasSk {
 	case 1:
 		if pr.Sketch, err = decodeSketchBlob("procedure sketch"); err != nil {
-			return fail(err)
+			return err
 		}
 	case 0:
 	default:
-		return fail(fmt.Errorf("solver: invalid session sketch flag %d", hasSk))
+		return fmt.Errorf("solver: invalid session sketch flag %d", hasSk)
 	}
 	nObs, m := binary.Uvarint(rec[n:])
 	if m <= 0 {
-		return fail(fmt.Errorf("solver: truncated session observation count"))
+		return fmt.Errorf("solver: truncated session observation count")
 	}
 	n += m
 	if nObs > uint64(len(rec)-n) {
-		return fail(fmt.Errorf("solver: session observation count %d exceeds file size", nObs))
+		return fmt.Errorf("solver: session observation count %d exceeds file size", nObs)
 	}
 	obs := make([]actualObs, nObs)
 	for j := range obs {
 		callee, m, err := decodeCacheString(rec[n:], "observation callee")
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		n += m
 		loc, m, err := decodeCacheString(rec[n:], "observation location")
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		n += m
 		inst, m := binary.Uvarint(rec[n:])
 		if m <= 0 {
-			return fail(fmt.Errorf("solver: truncated session observation"))
+			return fmt.Errorf("solver: truncated session observation")
 		}
 		n += m
 		sk, err := decodeSketchBlob("observation sketch")
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		obs[j] = actualObs{
 			key:    actualKey{callee: callee, loc: loc},
@@ -395,13 +408,14 @@ func decodeSessionRecord(rec []byte, sketches sketchMemo) (string, *procSnap, st
 	}
 	sccKey, m, err := decodeCacheString(rec[n:], "SCC key")
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	n += m
 	if n != len(rec) {
-		return fail(fmt.Errorf("solver: %d trailing bytes in session procedure record", len(rec)-n))
+		return fmt.Errorf("solver: %d trailing bytes in session procedure record", len(rec)-n)
 	}
-	return name, &procSnap{fp: fp, scheme: scheme, pr: pr, obs: obs}, sccKey, nil
+	*snap = procSnap{name: name, fp: fp, pr: pr, obs: obs, scc: parseSCCKey(sccKey)}
+	return nil
 }
 
 // LoadSession reads a session file into an engine with fresh caches of

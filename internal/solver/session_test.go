@@ -170,3 +170,56 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	coldTime := time.Since(t0)
 	t.Logf("cold=%v session-warm=%v speedup=%.1f×", coldTime, warmTime, float64(coldTime)/float64(warmTime))
 }
+
+// TestLoadedSessionRefinesEveryProcedure: snapshots loaded from disk
+// carry no F.3 output, so the first Reanalyze after a load refines every
+// procedure and equals a from-scratch run. Its own session then serves
+// F.3 again: an unchanged second Reanalyze refines nothing and shares
+// every *ProcResult with the first.
+func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
+	lat := lattice.Default()
+	src := corpus.Generate("session", 7, 1500).Source
+	opts := DefaultOptions()
+	eng := NewEngine(0, 0)
+	eng.Infer(asm.MustParse(src), lat, nil, opts)
+	var sess bytes.Buffer
+	if err := eng.SaveSessionTo(&sess); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewEngine(0, 0)
+	if _, err := loaded.LoadSessionData(sess.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	edited := mutateProc(t, src, firstProcName(t, src))
+	prog := asm.MustParse(edited)
+	var c phaseCounter
+	hooked := opts
+	hooked.SchedHooks = c.hooks()
+	first := loaded.Reanalyze(prog, lat, nil, hooked)
+	if first.RecomputedProcs == 0 || first.ReplayedProcs == 0 {
+		t.Fatalf("recomputed %d, replayed %d: want an edit that replays most of the program",
+			first.RecomputedProcs, first.ReplayedProcs)
+	}
+	if len(c.refined) != len(prog.Procs) {
+		t.Errorf("F.3 refined %d procedures after a load, want every one (%d)", len(c.refined), len(prog.Procs))
+	}
+	if dumpAll(first) != dumpAll(Infer(asm.MustParse(edited), lat, nil, opts)) {
+		t.Fatal("first Reanalyze after a load differs from a from-scratch run")
+	}
+
+	var c2 phaseCounter
+	hooked.SchedHooks = c2.hooks()
+	second := loaded.Reanalyze(asm.MustParse(edited), lat, nil, hooked)
+	if len(c2.refined) != 0 {
+		t.Errorf("unchanged Reanalyze refined %d procedures, want none", len(c2.refined))
+	}
+	for p, pr := range second.Procs {
+		if pr != first.Procs[p] {
+			t.Errorf("%s: unchanged Reanalyze built a new result", p)
+		}
+	}
+	if dumpAll(second) != dumpAll(first) {
+		t.Error("unchanged Reanalyze differs from the previous run")
+	}
+}

@@ -60,6 +60,7 @@ import (
 
 	"retypd/internal/absint"
 	"retypd/internal/asm"
+	"retypd/internal/bodyfp"
 	"retypd/internal/cfg"
 	"retypd/internal/conc"
 	"retypd/internal/constraints"
@@ -318,7 +319,7 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 	res := &Result{
 		Prog:  prog,
 		Lat:   lat,
-		Procs: map[string]*ProcResult{},
+		Procs: make(map[string]*ProcResult, len(prog.Procs)),
 		SCCs:  cg.SCCs,
 	}
 
@@ -370,8 +371,10 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 	if inc != nil {
 		// Clean procedures replay their previous schemes; publish them
 		// before any task runs so dirty callers see every callee.
-		for p, snap := range inc.replay {
-			pl.schemes[pl.procIdx[p]] = snap.scheme
+		for i, snap := range inc.snaps {
+			if !inc.dirty[i] {
+				pl.schemes[i] = snap.pr.Scheme
+			}
 		}
 	}
 
@@ -446,28 +449,31 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		pl.dedup.publish(pl, prog)
 	}
 	if inc != nil {
-		for _, p := range pl.order {
-			if inc.dirty[p] {
+		for _, d := range inc.dirty {
+			if d {
 				res.RecomputedProcs++
 			} else {
 				res.ReplayedProcs++
 			}
 		}
 	}
-	return res, &runArtifacts{cg: cg, order: pl.order, prs: pl.prs, obs: pl.obs}, nil
+	return res, &runArtifacts{cg: cg, order: pl.order, procIdx: pl.procIdx, prs: pl.prs, obs: pl.obs, inc: inc}, nil
 }
 
 // replayClean fills the F.2 slots of every clean procedure of an
-// incremental run from its session snapshot. A replay only copies
-// pointers, so it runs inline rather than as a pool task, but still
-// under runGuarded as an F.2 item (hooks and faults see it like any
-// other F.2 task); the first fault stops the loop.
+// incremental run with its session snapshot's result and callsite
+// observations. A replay only copies pointers, so it runs inline rather
+// than as a pool task, but still under runGuarded as an F.2 item (hooks
+// and faults see it like any other F.2 task); the first fault stops the
+// loop. The snapshot's result is shared, never written: a procedure
+// that F.3 must refine again gets a fresh shell first (freshShells).
 func (pl *pipeline) replayClean() {
-	for pi, p := range pl.order {
-		if pl.inc.dirty[p] {
+	for i, p := range pl.order {
+		if pl.inc.dirty[i] {
 			continue
 		}
-		if !pl.runGuarded("F.2", -1, p, func() { pl.prs[pi], pl.obs[pi] = pl.replayProc(p) }) {
+		snap := pl.inc.snaps[i]
+		if !pl.runGuarded("F.2", -1, p, func() { pl.prs[i], pl.obs[i] = snap.pr, snap.obs }) {
 			return
 		}
 	}
@@ -476,23 +482,84 @@ func (pl *pipeline) replayClean() {
 // runArtifacts carries the per-procedure outputs of one pipeline run in
 // canonical order, for the engine's session recording.
 type runArtifacts struct {
-	cg    *cfg.CallGraph
-	order []string
-	prs   []*ProcResult
-	obs   [][]actualObs
+	cg      *cfg.CallGraph
+	order   []string
+	procIdx map[string]int
+	prs     []*ProcResult
+	obs     [][]actualObs
+	inc     *incrementalPlan // nil for full runs
 }
 
-// incrementalPlan tells a pipeline run which procedures changed since
-// the engine's previous session. dirty covers every procedure of the
-// new program; replay maps each clean procedure to its snapshot from
-// the previous run. The plan's construction (Engine.Reanalyze)
-// guarantees the replay soundness invariant: a clean procedure's
-// transitive callees are all clean, so its previous scheme, sketch and
-// callsite observations are byte-identical to what a from-scratch run
-// would compute.
+// incrementalPlan tells a pipeline run what changed since the engine's
+// previous session. Every slice is indexed like the pipeline's
+// canonical order (pipelineOrder), which the plan carries so the run
+// need not rebuild it. snaps holds each procedure's previous snapshot
+// (nil for new procedures); infos and fps its analyses and session
+// fingerprint in the new program, which the engine records; dirty
+// marks the procedures that run F.1 and F.2 again. The plan's
+// construction (Engine.Reanalyze) guarantees the replay soundness
+// invariant: a clean procedure's transitive callees are all clean, so
+// its previous scheme, sketch and callsite observations are
+// byte-identical to what a from-scratch run would compute.
+//
+// refine marks the F.3-dirty procedures, the only ones F.3 refines
+// again. A procedure's specialized parameters are a function of its own
+// sketch and formals and of the observations keyed to it, joined in
+// canonical order; so they can change only for a dirty procedure, a
+// callee observed by a dirty procedure's new or previous run or by a
+// removed procedure's previous run, or a procedure whose snapshot
+// cannot serve its result as is (its formals or HasOut moved, or it was
+// loaded from disk, which carries no F.3 output). Reanalyze seeds every
+// term it can see before the run; the pipeline adds the callees of the
+// dirty procedures' new observations once F.2 has produced them. Every
+// other procedure reuses its snapshot's *ProcResult itself.
 type incrementalPlan struct {
-	dirty  map[string]bool
-	replay map[string]*procSnap
+	order   []string
+	procIdx map[string]int
+	snaps   []*procSnap
+	infos   []*cfg.ProcInfo
+	fps     []*bodyfp.FP
+	dirty   []bool
+	refine  []bool
+}
+
+// markObserved marks every program procedure some observation in obs
+// is keyed to as F.3-dirty.
+func (inc *incrementalPlan) markObserved(obs []actualObs) {
+	for _, o := range obs {
+		if i, ok := inc.procIdx[o.key.callee]; ok {
+			inc.refine[i] = true
+		}
+	}
+}
+
+// freshShells completes an incremental run's F.3-dirty set with the
+// callees of the dirty procedures' new observations, and gives every
+// clean F.3-dirty procedure a fresh result shell — its snapshot's
+// scheme and sealed sketch under the current formals, with no
+// specializations yet — so F.3 never writes into a result the previous
+// Result or session holds.
+func (pl *pipeline) freshShells() {
+	inc := pl.inc
+	for i, d := range inc.dirty {
+		if d {
+			inc.markObserved(pl.obs[i])
+		}
+	}
+	for i, r := range inc.refine {
+		if !r || inc.dirty[i] {
+			continue
+		}
+		snap, pi := inc.snaps[i], pl.infos[pl.order[i]]
+		pl.prs[i] = &ProcResult{
+			Name:           pl.order[i],
+			FormalIns:      pi.FormalIns,
+			HasOut:         pi.HasOut,
+			Scheme:         snap.pr.Scheme,
+			Sketch:         snap.pr.Sketch,
+			SpecializedIns: map[string]*sketch.Sketch{},
+		}
+	}
 }
 
 // pipeline carries the shared read-mostly state of one Infer run.
@@ -552,7 +619,7 @@ type pipeline struct {
 	// inc is the incremental plan of a Reanalyze run (nil for full
 	// runs): clean SCCs' schemes are pre-published and their procedures
 	// replay their snapshots (replayClean); only dirty SCCs ride the
-	// readiness graph.
+	// readiness graph, and only F.3-dirty procedures are refined.
 	inc *incrementalPlan
 
 	// prs and obs are the phase-2 outputs, parallel to order, retained
@@ -561,17 +628,30 @@ type pipeline struct {
 	obs [][]actualObs
 }
 
-// initIndex freezes the canonical procedure order and sizes every
-// per-procedure slot slice.
-func (pl *pipeline) initIndex(cg *cfg.CallGraph) {
+// pipelineOrder returns the canonical procedure order of cg — top-down
+// SCC order, members in SCC slice order — and its inverse.
+func pipelineOrder(cg *cfg.CallGraph) ([]string, map[string]int) {
+	var order []string
 	for i := len(cg.SCCs) - 1; i >= 0; i-- {
-		pl.order = append(pl.order, cg.SCCs[i]...)
+		order = append(order, cg.SCCs[i]...)
+	}
+	procIdx := make(map[string]int, len(order))
+	for i, p := range order {
+		procIdx[p] = i
+	}
+	return order, procIdx
+}
+
+// initIndex freezes the canonical procedure order (an incremental
+// plan's, which Reanalyze built from the same call graph) and sizes
+// every per-procedure slot slice.
+func (pl *pipeline) initIndex(cg *cfg.CallGraph) {
+	if pl.inc != nil {
+		pl.order, pl.procIdx = pl.inc.order, pl.inc.procIdx
+	} else {
+		pl.order, pl.procIdx = pipelineOrder(cg)
 	}
 	n := len(pl.order)
-	pl.procIdx = make(map[string]int, n)
-	for i, p := range pl.order {
-		pl.procIdx[p] = i
-	}
 	pl.schemes = make([]*constraints.Scheme, n)
 	pl.gens = make([]*absint.Result, n)
 	pl.fps = make([]*pgraph.FP, n)
@@ -816,22 +896,45 @@ type actualObs struct {
 
 // collectActuals gathers the scheduled F.2 results: publish every
 // procedure's result and join the callsite actuals per callee formal
-// in a canonical order.
+// in a canonical order — for an incremental run, only the keys of
+// F.3-dirty callees.
 func (pl *pipeline) collectActuals(res *Result) map[actualKey]*sketch.Sketch {
+	if pl.inc != nil {
+		pl.freshShells()
+	}
 	for i, p := range pl.order {
 		res.Procs[p] = pl.prs[i]
 	}
 
-	// Deterministic accumulation: flatten and sort all observations by
+	// Deterministic accumulation: flatten and sort the observations by
 	// (callee, location, caller, callsite) before joining, so the join
 	// order per callee/param key is stable no matter which worker got
-	// there first.
+	// there first. Filtering whole callees keeps each remaining key's
+	// observations, and their order, exactly as in the full sort.
 	if pl.opts.NoSpecialize {
 		return nil
 	}
 	var all []actualObs
-	for _, o := range pl.obs {
-		all = append(all, o...)
+	if pl.inc == nil {
+		for _, o := range pl.obs {
+			all = append(all, o...)
+		}
+	} else {
+		// The F.3-dirty set is small: a set of its own names is cheaper
+		// to probe than the whole program's index.
+		refined := map[string]bool{}
+		for i, r := range pl.inc.refine {
+			if r {
+				refined[pl.order[i]] = true
+			}
+		}
+		for _, o := range pl.obs {
+			for _, ob := range o {
+				if refined[ob.key.callee] {
+					all = append(all, ob)
+				}
+			}
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -945,16 +1048,20 @@ func (pl *pipeline) solveProc(p string) (*ProcResult, []actualObs) {
 }
 
 // refineParameters is Phase 3 (F.3): refine formals with the joined
-// observed actuals, per procedure in sorted name order. Items run under
-// the run's panic containment and the fan-out observes the run context,
-// so a fault or a cancellation stops the phase at an item boundary.
+// observed actuals, per procedure in sorted name order — every
+// procedure of a full run, the F.3-dirty ones of an incremental run.
+// Items run under the run's panic containment and the fan-out observes
+// the run context, so a fault or a cancellation stops the phase at an
+// item boundary.
 func (pl *pipeline) refineParameters(res *Result, actuals map[actualKey]*sketch.Sketch) error {
 	if pl.opts.NoSpecialize {
 		return nil
 	}
-	names := make([]string, 0, len(res.Procs))
-	for n := range res.Procs {
-		names = append(names, n)
+	names := make([]string, 0, len(pl.order))
+	for i, p := range pl.order {
+		if pl.inc == nil || pl.inc.refine[i] {
+			names = append(names, p)
+		}
 	}
 	sort.Strings(names)
 	return conc.ForEachCtx(pl.ctx, pl.workers, len(names), func(i int) {

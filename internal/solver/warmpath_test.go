@@ -15,46 +15,51 @@ import (
 	"retypd/internal/summaries"
 )
 
-// phaseCounter counts SchedHooks.BeforeTask calls per phase.
+// phaseCounter counts SchedHooks.BeforeTask calls per phase, and
+// records the procedure-named F.3 items (one per refined procedure; the
+// unnamed F.3 item is the actuals join).
 type phaseCounter struct {
-	mu sync.Mutex
-	n  map[string]int
+	mu      sync.Mutex
+	n       map[string]int
+	refined map[string]int
 }
 
 func (c *phaseCounter) hooks() *conc.SchedHooks {
-	c.n = map[string]int{}
-	return &conc.SchedHooks{BeforeTask: func(phase, _ string) {
+	c.n, c.refined = map[string]int{}, map[string]int{}
+	return &conc.SchedHooks{BeforeTask: func(phase, name string) {
 		c.mu.Lock()
 		c.n[phase]++
+		if phase == "F.3" && name != "" {
+			c.refined[name]++
+		}
 		c.mu.Unlock()
 	}}
 }
 
-// ancestorSCCs returns the SCCs of cg that contain proc or can reach it
-// over call edges, and the number of procedures in them.
-func ancestorSCCs(cg *cfg.CallGraph, proc string) (sccs, procs int) {
-	dirty := map[string]bool{proc: true}
+// ancestorSCCs returns the number of SCCs of cg that contain proc or
+// can reach it over call edges, and the procedures in them.
+func ancestorSCCs(cg *cfg.CallGraph, proc string) (sccs int, cone map[string]bool) {
+	cone = map[string]bool{proc: true}
 	for _, scc := range cg.SCCs { // bottom-up: callees first
 		d := false
 		for _, p := range scc {
-			if dirty[p] {
+			if cone[p] {
 				d = true
 			}
 			for _, c := range cg.Callees[p] {
-				if dirty[c] {
+				if cone[c] {
 					d = true
 				}
 			}
 		}
 		if d {
 			sccs++
-			procs += len(scc)
 			for _, p := range scc {
-				dirty[p] = true
+				cone[p] = true
 			}
 		}
 	}
-	return sccs, procs
+	return sccs, cone
 }
 
 // TestReanalyzeSchedulesOnlyDirtySCCs: Reanalyze runs one F.1 task per
@@ -78,7 +83,9 @@ func TestReanalyzeSchedulesOnlyDirtySCCs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := asm.MustParse(tc.src)
 			if tc.src != src {
-				tc.wantSCCs, tc.wantProcs = ancestorSCCs(cfg.BuildCallGraph(prog), edit)
+				var cone map[string]bool
+				tc.wantSCCs, cone = ancestorSCCs(cfg.BuildCallGraph(prog), edit)
+				tc.wantProcs = len(cone)
 			}
 			eng := NewEngine(0, 0)
 			eng.Infer(asm.MustParse(src), lat, nil, DefaultOptions())
@@ -134,7 +141,7 @@ func TestLoadSessionSharesSketches(t *testing.T) {
 		byBlob[key][sk] = true
 		blobs++
 	}
-	for _, snap := range loaded.sess.procs {
+	for _, snap := range loaded.sess.snaps {
 		if snap.pr.Sketch != nil {
 			note(snap.pr.Sketch)
 		}

@@ -144,6 +144,11 @@ type Result struct {
 	// (Struct_N) in the converter, so renders serialize.
 	convMu sync.Mutex
 	conv   *ctype.Converter
+
+	// names is the sorted procedure list, built on the first ProcNames
+	// call.
+	namesOnce sync.Once
+	names     []string
 }
 
 // ParseAsm parses the textual assembly substrate format.
@@ -209,14 +214,18 @@ func solverOptions(cfg *Config) solver.Options {
 	return opts
 }
 
-// ProcNames lists the program's procedures, sorted.
+// ProcNames lists the program's procedures, sorted. The list is sorted
+// once per Result; each call returns a fresh copy the caller may keep
+// or modify.
 func (r *Result) ProcNames() []string {
-	var out []string
-	for n := range r.inner.Procs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	r.namesOnce.Do(func() {
+		r.names = make([]string, 0, len(r.inner.Procs))
+		for n := range r.inner.Procs {
+			r.names = append(r.names, n)
+		}
+		sort.Strings(r.names)
+	})
+	return slices.Clone(r.names)
 }
 
 // Scheme returns the inferred polymorphic type scheme for proc.

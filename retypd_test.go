@@ -2,6 +2,7 @@ package retypd
 
 import (
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +74,21 @@ func TestFigure2Signature(t *testing.T) {
 	}
 }
 
+var structN = regexp.MustCompile(`Struct_[0-9]+`)
+
+// render returns r's signatures up to Struct_N numbering, rendering its
+// typedefs on the way.
+func render(r *Result) string {
+	var b strings.Builder
+	for _, p := range r.ProcNames() {
+		b.WriteString(r.Signature(p).String() + "\n")
+	}
+	for _, td := range r.Typedefs() {
+		_ = td.String()
+	}
+	return structN.ReplaceAllString(b.String(), "Struct_N")
+}
+
 // TestResultConcurrentRender: four goroutines render one Result at
 // once (Signature, Typedefs and their strings). Renders share the
 // Result's struct-naming converter; under -race this pins its guard.
@@ -80,18 +96,6 @@ func TestFigure2Signature(t *testing.T) {
 // numbering, which follows call order, and adds its own typedefs.
 func TestResultConcurrentRender(t *testing.T) {
 	prog := MustParseAsm(closeLastAsm + corpus.Generate("render", 5, 1500).Source)
-	structN := regexp.MustCompile(`Struct_[0-9]+`)
-	// render returns r's signatures, rendering its typedefs on the way.
-	render := func(r *Result) string {
-		var b strings.Builder
-		for _, p := range r.ProcNames() {
-			b.WriteString(r.Signature(p).String() + "\n")
-		}
-		for _, td := range r.Typedefs() {
-			_ = td.String()
-		}
-		return structN.ReplaceAllString(b.String(), "Struct_N")
-	}
 	ref := Infer(prog, nil)
 	want := render(ref)
 	perRender := len(ref.Typedefs())
@@ -118,6 +122,55 @@ func TestResultConcurrentRender(t *testing.T) {
 	}
 	if n := len(res.Typedefs()); n != renders*perRender {
 		t.Errorf("%d typedefs after %d renders, want %d", n, renders, renders*perRender)
+	}
+}
+
+// TestReanalyzeResultsRenderConcurrently: a Reanalyze result shares
+// the procedure results and sealed sketches of everything the edit did
+// not reach with the previous result. Rendering both results at once,
+// from several goroutines each, gives every render the result's
+// sequential rendering; under -race this pins that the sharing is
+// read-only.
+func TestReanalyzeResultsRenderConcurrently(t *testing.T) {
+	src := closeLastAsm + corpus.Generate("render", 5, 1500).Source
+	edited := strings.Replace(src, "proc close_last\n", "proc close_last\n    xor ecx, ecx\n", 1)
+	eng := NewEngine(nil)
+	prev := eng.Infer(MustParseAsm(src), nil)
+	next := eng.Reanalyze(MustParseAsm(edited))
+	if next.CacheStats().ReplayedProcs == 0 {
+		t.Fatal("Reanalyze replayed nothing; the results share nothing")
+	}
+	want := []string{render(Infer(MustParseAsm(src), nil)), render(Infer(MustParseAsm(edited), nil))}
+
+	results := []*Result{prev, next}
+	got := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = render(results[i%2])
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != want[i%2] {
+			t.Errorf("render %d (result %d) differs from a fresh run's", i, i%2)
+		}
+	}
+}
+
+// TestProcNamesSortedCopy: ProcNames is sorted and each call returns a
+// copy the caller may modify.
+func TestProcNamesSortedCopy(t *testing.T) {
+	res := Infer(MustParseAsm(closeLastAsm+corpus.Generate("names", 3, 300).Source), nil)
+	names := res.ProcNames()
+	if !slices.IsSorted(names) || len(names) < 2 {
+		t.Fatalf("ProcNames = %v, want a sorted list of several procedures", names)
+	}
+	names[0] = "clobbered"
+	if again := res.ProcNames(); again[0] == "clobbered" || !slices.IsSorted(again) {
+		t.Error("modifying ProcNames' result changed the next call's")
 	}
 }
 
