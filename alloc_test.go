@@ -31,11 +31,11 @@ func TestInferAllocGuard(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.Workers = 1
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	solver.Infer(benchCorpus, lat, nil, opts) // first use of process-wide tables
+	mustSolve(benchCorpus, lat, opts) // first use of process-wide tables
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < runs; i++ {
-		solver.Infer(benchCorpus, lat, nil, opts)
+		mustSolve(benchCorpus, lat, opts)
 	}
 	runtime.ReadMemStats(&m1)
 	objects := float64(m1.Mallocs-m0.Mallocs) / runs

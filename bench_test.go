@@ -6,6 +6,7 @@
 package retypd
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -29,6 +30,17 @@ var benchCorpus = func() *asm.Program {
 }()
 
 var benchBench = corpus.Generate("bench", 1234, 4000)
+
+// mustSolve runs the solver pipeline on prog, panicking on error: the
+// corpora here always analyze, and a panic keeps the failing run's
+// stack.
+func mustSolve(prog *asm.Program, lat *lattice.Lattice, opts solver.Options) *solver.Result {
+	res, err := solver.InferContext(context.Background(), prog, lat, nil, opts)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // BenchmarkFig7CorpusGen regenerates the Figure 7 benchmark inventory.
 func BenchmarkFig7CorpusGen(b *testing.B) {
@@ -95,7 +107,7 @@ func BenchmarkInferWholeProgram(b *testing.B) {
 	opts := solver.DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = solver.Infer(benchCorpus, lat, nil, opts)
+		_ = mustSolve(benchCorpus, lat, opts)
 	}
 }
 
@@ -117,7 +129,7 @@ func BenchmarkInferParallel(b *testing.B) {
 			opts.NoBodyDedup = noCache
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = solver.Infer(benchCorpus, lat, nil, opts)
+				_ = mustSolve(benchCorpus, lat, opts)
 			}
 		}
 	}
@@ -150,7 +162,7 @@ func generateAll(res *solver.Result) []*constraints.Set {
 // BenchmarkConstraintGen isolates Appendix A constraint generation:
 // every procedure of the program, against the schemes of one run.
 func BenchmarkConstraintGen(b *testing.B) {
-	res := solver.Infer(benchCorpus, lattice.Default(), nil, solver.DefaultOptions())
+	res := mustSolve(benchCorpus, lattice.Default(), solver.DefaultOptions())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -232,7 +244,7 @@ func BenchmarkAblationMonomorphic(b *testing.B) {
 			opts := solver.DefaultOptions()
 			opts.Absint = absint.Options{MonomorphicCalls: mono}
 			for i := 0; i < b.N; i++ {
-				_ = solver.Infer(benchCorpus, lat, nil, opts)
+				_ = mustSolve(benchCorpus, lat, opts)
 			}
 		})
 	}
@@ -245,13 +257,13 @@ func BenchmarkAblationNoSimplify(b *testing.B) {
 	lat := lattice.Default()
 	cs := constraints.NewSet()
 	// One big raw set: all constraints of the benchmark program.
-	for _, gen := range generateAll(solver.Infer(benchCorpus, lat, nil, solver.DefaultOptions())) {
+	for _, gen := range generateAll(mustSolve(benchCorpus, lat, solver.DefaultOptions())) {
 		cs.InsertAll(gen)
 	}
 	b.Run("per-SCC-schemes", func(b *testing.B) {
 		o := solver.DefaultOptions()
 		for i := 0; i < b.N; i++ {
-			_ = solver.Infer(benchCorpus, lat, nil, o)
+			_ = mustSolve(benchCorpus, lat, o)
 		}
 	})
 	b.Run("whole-program-saturation", func(b *testing.B) {

@@ -18,6 +18,7 @@
 package baselines
 
 import (
+	"context"
 	"hash/fnv"
 
 	"retypd/internal/absint"
@@ -65,14 +66,7 @@ func Retypd() System { return RetypdEngine(nil) }
 // engine gives each Run a private one-shot pipeline.
 func RetypdEngine(eng *solver.Engine) System {
 	return System{Name: "Retypd", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
-		opts := solver.DefaultOptions()
-		var res *solver.Result
-		if eng != nil {
-			res = eng.Infer(prog, lat, nil, opts)
-		} else {
-			res = solver.Infer(prog, lat, nil, opts)
-		}
-		return outcomeFromSolver(res, lat)
+		return outcomeFromSolver(infer(eng, prog, lat, solver.DefaultOptions()), lat)
 	}}
 }
 
@@ -88,14 +82,25 @@ func TIEStyleEngine(eng *solver.Engine) System {
 		opts.Absint = absint.Options{MonomorphicCalls: true, PolymorphicExternals: true}
 		opts.MaxSketchDepth = 3
 		opts.NoSpecialize = true
-		var res *solver.Result
-		if eng != nil {
-			res = eng.Infer(prog, lat, nil, opts)
-		} else {
-			res = solver.Infer(prog, lat, nil, opts)
-		}
-		return outcomeFromSolver(res, lat)
+		return outcomeFromSolver(infer(eng, prog, lat, opts), lat)
 	}}
+}
+
+// infer runs the solver on eng, or one-shot when eng is nil. The
+// systems are scored on well-formed corpora with no deadline, so an
+// error is a bug: it panics, keeping the stack.
+func infer(eng *solver.Engine, prog *asm.Program, lat *lattice.Lattice, opts solver.Options) *solver.Result {
+	var res *solver.Result
+	var err error
+	if eng != nil {
+		res, err = eng.InferContext(context.TODO(), prog, lat, nil, opts)
+	} else {
+		res, err = solver.InferContext(context.TODO(), prog, lat, nil, opts)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 func outcomeFromSolver(res *solver.Result, lat *lattice.Lattice) *Outcome {

@@ -6,7 +6,7 @@
 // generate isomorphic constraint sets: the abstract interpreter, the
 // constraint fingerprint, scheme simplification, and sketch solving can
 // all run once for the whole equivalence class and the results be
-// translated to the other members by a base-variable rename. This is
+// served to the other members by rerooting the scheme. This is
 // the canonicalize-early strategy BinSub (Smith, 2024) argues for: on
 // corpora full of duplicate leaf procedures, constraint generation
 // itself is redundant work, not just simplification.
@@ -153,8 +153,7 @@ func (fp *FP) EquivalentTo(other *FP) bool {
 // does (no scratch-register renaming between the two bodies). Together
 // with EquivalentTo this means the instruction streams are identical up
 // to label names, JCC mnemonics and call-target names — the condition
-// under which even the raw generated constraint set translates by pure
-// name surgery.
+// under which the CFG analyses carry over (cfg.ProcInfo.CloneForProgram).
 func (fp *FP) SameRegisters(other *FP) bool {
 	if len(fp.regs) != len(other.regs) {
 		return false

@@ -76,7 +76,6 @@ type Block struct {
 // ProcInfo is the analysis result for one procedure.
 type ProcInfo struct {
 	Proc    *asm.Proc
-	Prog    *asm.Program
 	Blocks  []Block
 	BlockOf []int // instruction → block index
 
@@ -136,8 +135,8 @@ func (pi *ProcInfo) SlotOf(idx int, m asm.Operand) (int32, bool) {
 
 // Analyze computes the per-procedure analyses. Program-level facts
 // (tail-call out propagation) are refined by AnalyzeProgram.
-func Analyze(prog *asm.Program, proc *asm.Proc) *ProcInfo {
-	pi := &ProcInfo{Proc: proc, Prog: prog, entryDefs: map[Loc]DefID{}}
+func Analyze(proc *asm.Proc) *ProcInfo {
+	pi := &ProcInfo{Proc: proc, entryDefs: map[Loc]DefID{}}
 	pi.buildBlocks()
 	pi.stackAnalysis()
 	pi.findFormals()
@@ -808,7 +807,7 @@ func BuildCallGraph(prog *asm.Program) *CallGraph {
 func AnalyzeProgram(prog *asm.Program) map[string]*ProcInfo {
 	infos := make(map[string]*ProcInfo, len(prog.Procs))
 	for _, p := range prog.Procs {
-		infos[p.Name] = Analyze(prog, p)
+		infos[p.Name] = Analyze(p)
 	}
 	FinishHasOut(infos)
 	return infos
@@ -847,8 +846,8 @@ func FinishHasOut(infos map[string]*ProcInfo) {
 	}
 }
 
-// CloneForProgram returns a shallow copy of pi rebased onto prog and
-// proc, whose body must be identical to pi's up to label names,
+// CloneForProgram returns a shallow copy of pi rebased onto proc (of
+// the same or another program), whose body must be identical to pi's up to label names,
 // conditional-jump mnemonics, and call-target names — the renamings
 // every analysis here is invariant under: label positions (not names)
 // define blocks, Cond is display-only, and call targets affect only the
@@ -864,9 +863,8 @@ func FinishHasOut(infos map[string]*ProcInfo) {
 // mutating pi. This is what lets incremental re-analysis — and the
 // solver's body-class layer, for in-program duplicates — skip
 // re-running the per-procedure analyses.
-func (pi *ProcInfo) CloneForProgram(prog *asm.Program, proc *asm.Proc) *ProcInfo {
+func (pi *ProcInfo) CloneForProgram(proc *asm.Proc) *ProcInfo {
 	ci := *pi
-	ci.Prog = prog
 	ci.Proc = proc
 	// Recover the intraprocedural value captured by Analyze: the
 	// receiver's HasOut may have been raised by a previous program's

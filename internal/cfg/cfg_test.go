@@ -13,7 +13,7 @@ func analyze(t *testing.T, src string) *ProcInfo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Analyze(prog, prog.Procs[0])
+	return Analyze(prog.Procs[0])
 }
 
 // TestStackDelta tracks esp through a standard prologue/epilogue.
@@ -261,7 +261,7 @@ endproc
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := Analyze(prog, prog.Procs[0])
+	pi := Analyze(prog.Procs[0])
 	found := false
 	for _, d := range pi.ReachEntry(0)[RegLoc(asm.EBX)] {
 		if d == DefID(0) {

@@ -626,6 +626,41 @@ func (sc *Scheme) String() string {
 	return b.String()
 }
 
+// Reroot returns cs with base variable from renamed to, and a copy of
+// existential. For a closed scheme (see Closed) this one substitution
+// is all it takes to describe another root: the scheme mentions no
+// other name of its procedure. The results share nothing mutable with
+// the inputs.
+func Reroot(cs *Set, existential []Var, from, to Var) (*Set, []Var) {
+	out := cs.SubstituteBases(func(v Var) Var {
+		if v == from {
+			return to
+		}
+		return v
+	})
+	return out, append([]Var(nil), existential...)
+}
+
+// Closed reports whether every base variable of cs is root, one of
+// existential, or a constant (isConst). Simplification relative to
+// {root} names every other state with a fresh existential, so every
+// scheme it produces is closed.
+func Closed(cs *Set, root Var, existential []Var, isConst func(intern.Sym) bool) bool {
+	bound := make(map[intern.Sym]bool, len(existential)+1)
+	bound[intern.Intern(string(root))] = true
+	for _, v := range existential {
+		bound[intern.Intern(string(v))] = true
+	}
+	for _, c := range cs.Constraints() {
+		for _, d := range [...]DTV{c.L, c.R, c.X, c.Y, c.Z} {
+			if y := d.BaseSym(); y != 0 && !bound[y] && !isConst(y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Instantiate returns the scheme's constraints with every quantified
 // variable (root, existentials, and any other free variable) renamed by
 // suffixing tag, implementing callsite-tagged instantiation

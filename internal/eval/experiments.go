@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -240,10 +241,12 @@ func measureScale(size int, seed int64, workers int) ScalingPoint {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		res := solver.Infer(prog, lat, nil, opts)
+		_, err := solver.InferContext(context.TODO(), prog, lat, nil, opts)
 		secs[i] = time.Since(start).Seconds()
 		runtime.ReadMemStats(&m1)
-		_ = res
+		if err != nil {
+			panic(err)
+		}
 		allocs[i] = float64(m1.TotalAlloc - m0.TotalAlloc)
 		mallocs[i] = float64(m1.Mallocs - m0.Mallocs)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -18,7 +19,10 @@ func TestCorpusSmoke(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	start := time.Now()
-	res := solver.Infer(prog, lattice.Default(), nil, solver.DefaultOptions())
+	res, err := solver.InferContext(context.Background(), prog, lattice.Default(), nil, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("procs=%d elapsed=%v", len(res.Procs), time.Since(start))
 }
 

@@ -270,7 +270,7 @@ const DefaultSimplifyCacheCap = 4096
 // maximize cross-program reuse of duplicate leaf procedures; the only
 // cost of sharing is LRU pressure on the capacity bound. Hit/miss
 // counters are cumulative across all sharers; callers wanting per-run
-// numbers snapshot Stats before and after (as solver.Infer does).
+// numbers snapshot Stats before and after (as solver.InferContext does).
 //
 // The underlying store is sharded by Hash64 so concurrent workers on
 // different keys do not convoy on one mutex; the shard count is an
@@ -336,31 +336,18 @@ func (c *SimplifyCache) Simplify(fp *FP, root constraints.Var, build func() *Gra
 // canonicalize rewrites res with root renamed to its canonical name.
 // Simplification relative to {root} only ever mentions root, lattice
 // constants, and the fresh existential variables it synthesized (whose
-// numbering depends only on graph structure, not on names); if anything
-// else appears the result is not safely shareable and we refuse to
-// cache it.
+// numbering depends only on graph structure, not on names): the result
+// is closed. Anything else would be a foreign program variable that
+// renaming only the root would mis-share, so an unclosed result is
+// refused a cache slot.
 func canonicalize(res *SimplifyResult, root constraints.Var, fp *FP) (*SimplifyResult, bool) {
 	canonRoot, ok := fp.canonicalRoot(root)
 	if !ok {
 		return nil, false
 	}
-	rootSym := intern.Intern(string(root))
-	fresh := map[intern.Sym]bool{}
-	for _, v := range res.Existential {
-		fresh[intern.Intern(string(v))] = true
-	}
-	for _, c := range res.Constraints.Constraints() {
-		for _, d := range []constraints.DTV{c.L, c.R, c.X, c.Y, c.Z} {
-			y := d.BaseSym()
-			if y == 0 || y == rootSym || fresh[y] {
-				continue
-			}
-			if fp.renamed(y) {
-				// A foreign program variable leaked into the result;
-				// renaming only the root would mis-share it.
-				return nil, false
-			}
-		}
+	notProgramVar := func(y intern.Sym) bool { return !fp.renamed(y) }
+	if !constraints.Closed(res.Constraints, root, res.Existential, notProgramVar) {
+		return nil, false
 	}
 	return rehydrate(res, root, canonRoot), true
 }
@@ -368,14 +355,6 @@ func canonicalize(res *SimplifyResult, root constraints.Var, fp *FP) (*SimplifyR
 // rehydrate substitutes from → to in a stored result, copying the
 // existential list so cached state is never aliased mutably.
 func rehydrate(res *SimplifyResult, from, to constraints.Var) *SimplifyResult {
-	out := &SimplifyResult{
-		Constraints: res.Constraints.SubstituteBases(func(v constraints.Var) constraints.Var {
-			if v == from {
-				return to
-			}
-			return v
-		}),
-		Existential: append([]constraints.Var(nil), res.Existential...),
-	}
-	return out
+	cs, ex := constraints.Reroot(res.Constraints, res.Existential, from, to)
+	return &SimplifyResult{Constraints: cs, Existential: ex}
 }

@@ -9,6 +9,7 @@ import (
 
 	"retypd/internal/bodyfp"
 	"retypd/internal/constraints"
+	"retypd/internal/intern"
 	"retypd/internal/sketch"
 	"retypd/internal/summaries"
 )
@@ -28,8 +29,8 @@ import (
 //
 // The table itself is only a grouping structure: which class id a body
 // gets, and whether a run finds an entry or publishes one, never
-// changes analysis output — entries are served through the same rename
-// surgery as in-program members, and every serve is guarded by the
+// changes analysis output — entries are served by the same rerooting
+// as in-program members, and every serve is guarded by the
 // servability checks in dedup.go. A table from a different
 // configuration can never serve wrong results either: the fingerprint
 // Config (generation options, lattice signature, context signature)
@@ -68,10 +69,10 @@ type bodyClass struct {
 	// blob is the wire form of an entry carried in from a cache file: a
 	// slice of the loaded file's bytes, decoded on the class's first hit
 	// (resolve) and written back verbatim by appendWire, hit or not. A
-	// blob that fails to decode is cleared under bodyCache.mu, so the
-	// class misses like one without an entry and the bad bytes are
-	// never saved again. While blob is set, entry is nil or its decoded
-	// form.
+	// blob that fails to decode, or whose scheme is not closed, is
+	// cleared under bodyCache.mu, so the class misses like one without
+	// an entry and the bad bytes are never saved again. While blob is
+	// set, entry is nil or its decoded form.
 	blob []byte
 	//retypd:notkey guards the single decode of blob, which fills entry
 	decode sync.Once
@@ -79,15 +80,15 @@ type bodyClass struct {
 
 // bodyEntry is the published result of one full-path run of a class
 // member: everything a later equivalent procedure needs to skip
-// constraint generation, simplification and sketch solving, in the
-// publisher's name space (consumers translate through absint.Renamer).
+// constraint generation, simplification and sketch solving. Its scheme
+// is closed and rooted at the publisher; a consumer reroots it.
 //
 //retypd:cachekey appendEntryWire
 type bodyEntry struct {
-	// rep is the publisher's procedure name — the renamer's From side.
+	// rep is the publisher's procedure name.
 	rep string
-	// fp is the publisher's fingerprint: its call sites drive the
-	// rename pairs.
+	// fp is the publisher's fingerprint: consumers check their call
+	// sites against it.
 	fp *bodyfp.FP
 	// namedProc records, per fp.Calls() site, whether the call target
 	// was a procedure of the publisher's program. Meaningful for
@@ -96,7 +97,9 @@ type bodyEntry struct {
 	// consumer whose same-named target resolves the other way must not
 	// be served (see dedupState.entryPlan).
 	namedProc []bool
-	// scheme is the publisher's simplified type scheme.
+	// scheme is the publisher's simplified type scheme, closed (see
+	// constraints.Closed): an entry decoded from a cache file is checked
+	// once, at its first resolve.
 	scheme *constraints.Scheme
 	// sk is the publisher's solved sketch, sealed (sketches mention no
 	// variable names, so it is shared verbatim).
@@ -120,8 +123,9 @@ type entryObs struct {
 
 // lookup returns the class equivalent to fp, creating it if absent,
 // plus the class's current entry (nil when none is published yet). A
-// carried blob is decoded first, outside the table mutex.
-func (bc *bodyCache) lookup(fp *bodyfp.FP) (*bodyClass, *bodyEntry) {
+// carried blob is decoded first, outside the table mutex; isConst
+// identifies lattice constants for its closure check.
+func (bc *bodyCache) lookup(fp *bodyfp.FP, isConst func(intern.Sym) bool) (*bodyClass, *bodyEntry) {
 	bc.mu.Lock()
 	c := bc.find(fp)
 	if c == nil {
@@ -130,19 +134,19 @@ func (bc *bodyCache) lookup(fp *bodyfp.FP) (*bodyClass, *bodyEntry) {
 		bc.byHash[fp.Hash()] = append(bc.byHash[fp.Hash()], c)
 	}
 	bc.mu.Unlock()
-	return c, bc.resolve(c)
+	return c, bc.resolve(c, isConst)
 }
 
 // prefetch decodes the carried blob of fp's existing class, if any,
 // without filing a class. classifyBodies calls it from its parallel
 // fingerprint fan-out, so the sequential classification walk finds
 // the entries it serves already decoded.
-func (bc *bodyCache) prefetch(fp *bodyfp.FP) {
+func (bc *bodyCache) prefetch(fp *bodyfp.FP, isConst func(intern.Sym) bool) {
 	bc.mu.Lock()
 	c := bc.find(fp)
 	bc.mu.Unlock()
 	if c != nil {
-		bc.resolve(c)
+		bc.resolve(c, isConst)
 	}
 }
 
@@ -160,8 +164,12 @@ func (bc *bodyCache) find(fp *bodyfp.FP) *bodyClass {
 // resolve returns c's current entry, first decoding its carried blob
 // if it has one and no one has yet. The decode runs once per class and
 // outside bc.mu, so concurrent runs hitting different classes decode
-// in parallel; a failed (or panicking) decode clears the blob.
-func (bc *bodyCache) resolve(c *bodyClass) *bodyEntry {
+// in parallel; a failed (or panicking) decode clears the blob, and so
+// does a decoded scheme that is not closed under isConst — a cache file
+// is outside input, and only a closed scheme serves by rerooting. Every
+// run that can reach c shares its lattice (the fingerprint Config
+// carries the lattice signature), so one check serves them all.
+func (bc *bodyCache) resolve(c *bodyClass, isConst func(intern.Sym) bool) *bodyEntry {
 	c.decode.Do(func() {
 		bc.mu.Lock()
 		blob := c.blob
@@ -179,7 +187,10 @@ func (bc *bodyCache) resolve(c *bodyClass) *bodyEntry {
 			}
 			bc.mu.Unlock()
 		}()
-		e, _ = decodeEntryWire(blob)
+		d, err := decodeEntryWire(blob)
+		if err == nil && constraints.Closed(d.scheme.Constraints, d.scheme.Root, d.scheme.Existential, isConst) {
+			e = d
+		}
 	})
 	bc.mu.Lock()
 	defer bc.mu.Unlock()

@@ -33,15 +33,15 @@ func TestEngineCrossProgramBodyServing(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		cold := Infer(asm.MustParse(srcB), lat, nil, opts)
+		cold := must(InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
 
 		eng := NewEngine(0, 0)
-		first := eng.Infer(asm.MustParse(dedupProgSrc), lat, nil, opts)
+		first := must(eng.InferContext(bg, asm.MustParse(dedupProgSrc), lat, nil, opts))
 		if first.BodyDedupCrossHits != 0 {
 			t.Fatalf("workers=%d: first run on a fresh engine reports %d cross-program hits",
 				workers, first.BodyDedupCrossHits)
 		}
-		warm := eng.Infer(asm.MustParse(srcB), lat, nil, opts)
+		warm := must(eng.InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
 		if warm.BodyDedupCrossHits == 0 {
 			t.Errorf("workers=%d: no cross-program body hits on an equivalent program", workers)
 		}
@@ -86,11 +86,11 @@ endproc
 `
 	opts := DefaultOptions()
 	opts.Workers = 1
-	cold := Infer(asm.MustParse(srcB), lat, nil, opts)
+	cold := must(InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
 
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(srcA), lat, nil, opts)
-	warm := eng.Infer(asm.MustParse(srcB), lat, nil, opts)
+	must(eng.InferContext(bg, asm.MustParse(srcA), lat, nil, opts))
+	warm := must(eng.InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
 	if warm.BodyDedupCrossHits != 0 {
 		t.Errorf("resolution-flipped entry served %d members; the namedProc guard must refuse",
 			warm.BodyDedupCrossHits)

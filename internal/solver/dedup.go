@@ -2,13 +2,12 @@ package solver
 
 import (
 	"strings"
-	"sync/atomic"
 
-	"retypd/internal/absint"
 	"retypd/internal/asm"
 	"retypd/internal/bodyfp"
 	"retypd/internal/cfg"
 	"retypd/internal/constraints"
+	"retypd/internal/intern"
 	"retypd/internal/lattice"
 	"retypd/internal/sketch"
 	"retypd/internal/summaries"
@@ -18,8 +17,11 @@ import (
 // groups procedures whose IR bodies are equivalent (internal/bodyfp)
 // *before* abstract interpretation, runs constraint generation,
 // fingerprinting, scheme simplification and sketch solving once per
-// class, and translates the representative's results to the other
-// members by the name surgery of absint.Renamer. Where the scheme and
+// class, and serves the representative's results to the other
+// members. A simplified scheme is closed — it names only its root,
+// lattice constants and its own existentials — so a member's scheme is
+// the source's with the root swapped (constraints.Reroot), and the
+// source's sealed sketch is shared as is. Where the scheme and
 // shape memos (PR 2–3) made duplicate procedures cheap to *solve*,
 // this layer makes them cheap to *reach*: members skip Generate, the
 // constraint-set fingerprint (a SHA-256 over the whole set), both LRU
@@ -32,7 +34,7 @@ import (
 // serving paths coexist, tried in order:
 //
 //  1. Stored entry: the class carries the sealed results of a previous
-//     full-path run; the member translates them directly (no dependency
+//     full-path run; the member is served them directly (no dependency
 //     on any SCC of this run) and skips even the representative's work.
 //  2. In-program representative: the first full-path member of this
 //     run serves later members exactly as the per-run layer of PR 4–9
@@ -41,11 +43,12 @@ import (
 // Eligibility is conservative: only single-member, non-self-recursive
 // SCCs participate, and only when every name involved (the procedure
 // and its call targets) stays clear of the solver's reserved variable
-// namespaces. Everything else falls back to the full path — body dedup
+// namespaces. Everything else takes the full path — body dedup
 // never changes output, only work (a golden on/off equivalence the
 // tests pin down byte-for-byte).
 type dedupState struct {
 	conf    bodyfp.Config
+	lat     *lattice.Lattice
 	isConst func(constraints.Var) bool
 
 	// cache is the engine-scoped class table (run-private for one-shot
@@ -58,9 +61,8 @@ type dedupState struct {
 	// callee identity later levels mix into their own body hashes.
 	classOf map[string]uint32
 	// localRep maps a class to this run's first full-path member — the
-	// in-program translation source (path 2). Entry-served members
-	// never become localRep: translateProc reads the representative's
-	// generated constraints, which entry serving skips.
+	// in-program serving source (path 2). Entry-served members never
+	// become localRep, so a path-2 source always ran the full path.
 	localRep map[uint32]localSrc
 	// anchor maps a class to its first in-program occurrence, the
 	// CFG-analysis clone source: a later member with the identical
@@ -75,12 +77,10 @@ type dedupState struct {
 	// after the whole run succeeds (infer tail), first wins.
 	pubs []pubCand
 
-	// hits/misses/crossHits are atomic: classification misses are
-	// counted in the sequential pre-pass, but member F.1 tasks account
-	// their translation outcome concurrently on the readiness
-	// scheduler. hits counts in-program translations (path 2),
-	// crossHits entry serves (path 1), misses full-path procedures.
-	hits, misses, crossHits atomic.Uint64
+	// hits counts in-program serves (path 2), crossHits entry serves
+	// (path 1), misses full-path procedures. A plan always serves, so
+	// all three are counted in the sequential classification pre-pass.
+	hits, misses, crossHits uint64
 }
 
 // localSrc names an in-program procedure together with the fingerprint
@@ -97,16 +97,16 @@ type pubCand struct {
 	fp  *bodyfp.FP
 }
 
-// memberPlan is everything needed to serve one dedup member: the
-// translation source (a stored entry, or this run's representative) and
-// the rename surgery into the member's own name space.
+// memberPlan is everything needed to serve one dedup member: its
+// source (a stored entry, or this run's representative) and the
+// member's own fingerprint, whose call sites re-key the source's
+// callsite observations to the member's callees.
 type memberPlan struct {
+	// rep is this run's representative (path 2; empty for path 1).
 	rep string
 	fp  *bodyfp.FP
-	ren *absint.Renamer
-	// entry is the stored body entry backing path 1 (nil for in-program
-	// translation). Entry plans take no readiness dependency on any SCC
-	// of this run.
+	// entry is the stored body entry backing path 1 (nil for path 2).
+	// Entry plans take no readiness dependency on any SCC of this run.
 	entry *bodyEntry
 }
 
@@ -119,6 +119,7 @@ func newDedupState(lat *lattice.Lattice, opts Options, sums summaries.Table, isC
 			LatticeSig:            lat.Signature(),
 			CtxSig:                runCtxSig(opts, sums),
 		},
+		lat:       lat,
 		isConst:   isConst,
 		cache:     cache,
 		classOf:   map[string]uint32{},
@@ -130,8 +131,9 @@ func newDedupState(lat *lattice.Lattice, opts Options, sums summaries.Table, isC
 
 // nameEligible rejects names that collide with the solver's reserved
 // variable namespaces ('!' locals, '@' callsite tags, '¤' canonical
-// fingerprint names, '.' DTV paths, 'τ' existentials): the rename
-// surgery could not classify variables built from them unambiguously.
+// fingerprint names, '.' DTV paths, 'τ' existentials): a member named
+// like a variable of its source's scheme could not be rerooted
+// unambiguously.
 func nameEligible(s string) bool {
 	if s == "" || strings.ContainsAny(s, "@!.¤") || strings.HasPrefix(s, "τ") {
 		return false
@@ -154,6 +156,13 @@ func (ds *dedupState) eligible(p string, cg *cfg.CallGraph) bool {
 	return true
 }
 
+// isConstSym reports whether y names a lattice constant: with the root
+// and the existentials, the only base variables a closed scheme has.
+func (ds *dedupState) isConstSym(y intern.Sym) bool {
+	_, ok := ds.lat.ElemSym(y)
+	return ok
+}
+
 // calleeID supplies bodyfp with the identity bound to a call target:
 // the target's body class when it has one (so wrappers around
 // interchangeable callees still dedup), its exact name otherwise.
@@ -171,16 +180,16 @@ func (ds *dedupState) calleeID(target string) (bodyfp.CalleeID, bool) {
 
 // classify files fp under its class in the engine-scoped table
 // (creating one if it is the first occurrence anywhere) and returns a
-// translation plan when p can be served — from a stored entry first,
-// from this run's representative otherwise — or nil when p must run
-// the full path. isProc identifies program-procedure names for the
-// renamer's foreign-leak refusal and the entry portability check.
+// serving plan when p can be served — from a stored entry first, from
+// this run's representative otherwise — or nil when p must run the
+// full path. isProc identifies program-procedure names for the entry
+// portability check.
 func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool) *memberPlan {
-	cls, entry := ds.cache.lookup(fp)
+	cls, entry := ds.cache.lookup(fp, ds.isConstSym)
 	// Class membership (and with it the callee identity served to
 	// callers) holds regardless of whether p is actually served below:
-	// an excluded member computes the same scheme the translation would
-	// have produced.
+	// an excluded member computes the same scheme serving would have
+	// produced.
 	ds.classOf[p] = cls.id
 
 	// CFG-clone anchoring is purely in-program: the first occurrence
@@ -195,90 +204,66 @@ func (ds *dedupState) classify(p string, fp *bodyfp.FP, isProc func(string) bool
 	}
 
 	// Path 1: a stored entry from a previous run, program or process.
-	if entry != nil {
-		if plan := ds.entryPlan(p, fp, entry, isProc); plan != nil {
-			return plan
-		}
+	if entry != nil && ds.entryServes(fp, entry, isProc) {
+		ds.crossHits++
+		return &memberPlan{fp: fp, entry: entry}
 	}
 
 	// Path 2: this run's full-path representative.
 	if rep, ok := ds.localRep[cls.id]; ok {
-		if plan := ds.localPlan(p, fp, rep, isProc); plan != nil {
-			return plan
+		if !sameCallSites(rep.fp, fp) {
+			ds.misses++
+			return nil
 		}
-		ds.misses.Add(1)
-		return nil
+		ds.hits++
+		return &memberPlan{rep: rep.p, fp: fp}
 	}
 
-	// Full path. p becomes the run's translation source for the class,
+	// Full path. p becomes the run's serving source for the class,
 	// and — if no entry existed when we looked — a publish candidate.
 	ds.localRep[cls.id] = localSrc{p: p, fp: fp}
 	if entry == nil {
 		ds.pubs = append(ds.pubs, pubCand{cls: cls, p: p, fp: fp})
 	}
-	ds.misses.Add(1)
+	ds.misses++
 	return nil
 }
 
-// entryPlan builds the serving plan from a stored entry, or nil when
-// the entry cannot serve p: every CalleeNamed call target must resolve
-// the same way here (program procedure vs external) as it did for the
+// entryServes reports whether stored entry e can serve the member
+// with fingerprint fp: every CalleeNamed call target must resolve the
+// same way here (program procedure vs external) as it did for the
 // publisher — equal encodings guarantee equal names at named sites,
 // but not equal resolution, and generation models the two differently.
 // Targets classified in this run are CalleeClass sites (callees are
 // classified in strictly earlier levels, so classOf is final for them)
 // and carry their identity in the encoding itself.
-func (ds *dedupState) entryPlan(p string, fp *bodyfp.FP, e *bodyEntry, isProc func(string) bool) *memberPlan {
-	repCalls, memCalls := e.fp.Calls(), fp.Calls()
-	if len(repCalls) != len(memCalls) || len(e.namedProc) != len(repCalls) {
-		return nil // cannot happen for equivalent encodings; stay safe
+func (ds *dedupState) entryServes(fp *bodyfp.FP, e *bodyEntry, isProc func(string) bool) bool {
+	calls := fp.Calls()
+	if !sameCallSites(e.fp, fp) || len(e.namedProc) != len(calls) {
+		return false
 	}
-	pairs := make([]absint.CallRename, len(repCalls))
-	for i := range repCalls {
-		if repCalls[i].Inst != memCalls[i].Inst {
-			return nil
-		}
-		if _, classed := ds.classOf[memCalls[i].Target]; !classed {
-			if isProc(memCalls[i].Target) != e.namedProc[i] {
-				return nil
-			}
-		}
-		pairs[i] = absint.CallRename{
-			Inst: repCalls[i].Inst,
-			From: repCalls[i].Target,
-			To:   memCalls[i].Target,
+	for i, c := range calls {
+		if _, classed := ds.classOf[c.Target]; !classed && isProc(c.Target) != e.namedProc[i] {
+			return false
 		}
 	}
-	ren := absint.NewRenamer(e.rep, p, pairs, isProc)
-	if !ren.Valid() {
-		return nil
-	}
-	return &memberPlan{rep: e.rep, fp: fp, ren: ren, entry: e}
+	return true
 }
 
-// localPlan builds the in-program translation plan from this run's
-// representative, or nil when the member must run the full path.
-func (ds *dedupState) localPlan(p string, fp *bodyfp.FP, rep localSrc, isProc func(string) bool) *memberPlan {
-	repCalls, memCalls := rep.fp.Calls(), fp.Calls()
-	if len(repCalls) != len(memCalls) {
-		return nil // cannot happen for equivalent encodings; stay safe
+// sameCallSites reports whether two equivalent bodies call at the same
+// instructions — which equal encodings imply; it is checked because
+// the member's callees are looked up by the source's call sites.
+func sameCallSites(a, b *bodyfp.FP) bool {
+	ac, bc := a.Calls(), b.Calls()
+	if len(ac) != len(bc) {
+		return false
 	}
-	pairs := make([]absint.CallRename, len(repCalls))
-	for i := range repCalls {
-		if repCalls[i].Inst != memCalls[i].Inst {
-			return nil
-		}
-		pairs[i] = absint.CallRename{
-			Inst: repCalls[i].Inst,
-			From: repCalls[i].Target,
-			To:   memCalls[i].Target,
+	for i := range ac {
+		if ac[i].Inst != bc[i].Inst {
+			return false
 		}
 	}
-	ren := absint.NewRenamer(rep.p, p, pairs, isProc)
-	if !ren.Valid() {
-		return nil
-	}
-	return &memberPlan{rep: rep.p, fp: fp, ren: ren}
+	return true
 }
 
 // publish files the run's publish candidates into their classes (first
@@ -318,17 +303,30 @@ func (ds *dedupState) publish(pl *pipeline, prog *asm.Program) {
 	}
 }
 
-// translateProc derives a member's phase-2 result from its in-program
-// representative's: the sketch is shared (sealed — sketches mention no
-// variable names, so the representative's solution IS the member's),
-// callsite-actual observations are re-keyed to the member's own callee
-// names.
-func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult, repObs []actualObs) (*ProcResult, []actualObs) {
-	pi := pl.infos[p]
-	sk := repPR.Sketch
-	if sk != nil {
-		sk = sk.Seal()
+// serveMember derives a member's phase-2 result from its plan's
+// source: the stored entry's sealed results (path 1), or the
+// representative's this run (path 2). The sketch is shared (sealed —
+// sketches mention no variable names, so the source's solution IS the
+// member's), and callsite-actual observations are re-keyed to the
+// member's own callee names.
+func (pl *pipeline) serveMember(p string, plan *memberPlan) (*ProcResult, []actualObs) {
+	var (
+		sk  *sketch.Sketch
+		src []entryObs
+	)
+	if e := plan.entry; e != nil {
+		sk, src = e.sk, e.obs
+	} else {
+		ri := pl.procIdx[plan.rep]
+		if sk = pl.prs[ri].Sketch; sk != nil {
+			sk = sk.Seal()
+		}
+		src = make([]entryObs, len(pl.obs[ri]))
+		for i, o := range pl.obs[ri] {
+			src[i] = entryObs{inst: o.inst, loc: o.key.loc, sk: o.sk}
+		}
 	}
+	pi := pl.infos[p]
 	pr := &ProcResult{
 		Name:           p,
 		FormalIns:      pi.FormalIns,
@@ -337,48 +335,15 @@ func (pl *pipeline) translateProc(p string, plan *memberPlan, repPR *ProcResult,
 		Sketch:         sk,
 		SpecializedIns: map[string]*sketch.Sketch{},
 	}
-	if len(repObs) == 0 {
+	if len(src) == 0 {
 		return pr, nil
 	}
 	calleeAt := make(map[int]string, len(plan.fp.Calls()))
 	for _, c := range plan.fp.Calls() {
 		calleeAt[c.Inst] = c.Target
 	}
-	obs := make([]actualObs, len(repObs))
-	for i, o := range repObs {
-		obs[i] = actualObs{
-			key:    actualKey{callee: calleeAt[o.inst], loc: o.key.loc},
-			caller: p,
-			inst:   o.inst,
-			sk:     o.sk,
-		}
-	}
-	return pr, obs
-}
-
-// translateEntry derives a member's phase-2 result from a stored body
-// entry — the cross-program analogue of translateProc. The entry's
-// sketches are already sealed.
-func (pl *pipeline) translateEntry(p string, plan *memberPlan) (*ProcResult, []actualObs) {
-	pi := pl.infos[p]
-	e := plan.entry
-	pr := &ProcResult{
-		Name:           p,
-		FormalIns:      pi.FormalIns,
-		HasOut:         pi.HasOut,
-		Scheme:         pl.schemes[pl.procIdx[p]],
-		Sketch:         e.sk,
-		SpecializedIns: map[string]*sketch.Sketch{},
-	}
-	if len(e.obs) == 0 {
-		return pr, nil
-	}
-	calleeAt := make(map[int]string, len(plan.fp.Calls()))
-	for _, c := range plan.fp.Calls() {
-		calleeAt[c.Inst] = c.Target
-	}
-	obs := make([]actualObs, len(e.obs))
-	for i, o := range e.obs {
+	obs := make([]actualObs, len(src))
+	for i, o := range src {
 		obs[i] = actualObs{
 			key:    actualKey{callee: calleeAt[o.inst], loc: o.loc},
 			caller: p,

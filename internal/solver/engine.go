@@ -188,21 +188,11 @@ func (e *Engine) withEngineCaches(opts Options) Options {
 	return opts
 }
 
-// Infer runs the full pipeline with the engine's caches and records the
-// run as the engine's current session. It cannot be cancelled; a
-// contained task panic (*AnalysisError) or an admission rejection
-// (*LimitError) is re-raised. Services use InferContext.
-func (e *Engine) Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) *Result {
-	res, err := e.InferContext(context.Background(), prog, lat, sums, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// InferContext is Infer under a context: cancellation and deadlines are
-// observed cooperatively at task boundaries (an already-cancelled ctx
-// returns before any worker spawns), task panics come back as
+// InferContext runs the full pipeline with the engine's caches and
+// records the run as the engine's current session. Cancellation and
+// deadlines are observed cooperatively at task boundaries (an
+// already-cancelled ctx returns before any worker spawns), task panics
+// come back as
 // structured *AnalysisError, and oversized inputs as *LimitError. On
 // any error the engine publishes nothing — no session is recorded, the
 // shared caches hold only completed computes — so the engine stays
@@ -228,8 +218,9 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 	return res, nil
 }
 
-// Reanalyze infers prog incrementally against the engine's previous
-// session: procedures whose portable body fingerprints are unchanged —
+// ReanalyzeContext infers prog incrementally against the engine's
+// previous session: procedures whose portable body fingerprints are
+// unchanged —
 // and whose transitive callees are all unchanged, and whose SCC
 // membership did not move — are replayed from the session verbatim;
 // only dirty SCCs and their condensed-call-graph ancestors run the
@@ -237,18 +228,10 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 // prog (a golden guarantee the tests enforce on the corpus); the run
 // becomes the engine's new session. Without a compatible previous
 // session this degrades to a full (recorded) run.
-func (e *Engine) Reanalyze(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) *Result {
-	res, err := e.ReanalyzeContext(context.Background(), prog, lat, sums, opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// ReanalyzeContext is Reanalyze under a context, with the same error
-// and no-partial-state contract as InferContext: on cancellation, task
-// panic, or admission rejection the previous session stays current and
-// nothing of the aborted run is published.
+//
+// Errors follow InferContext's no-partial-state contract: on
+// cancellation, task panic, or admission rejection the previous session
+// stays current and nothing of the aborted run is published.
 func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -315,7 +298,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 		if snap != nil {
 			matched++
 			if snap.info != nil && snap.info.Proc.EqualBody(p) {
-				infoList[i] = snap.info.CloneForProgram(prog, p)
+				infoList[i] = snap.info.CloneForProgram(p)
 				fps[i] = snap.fp
 				continue
 			}
@@ -341,13 +324,13 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	conf := sessionConfig(lat, opts)
 	if err := conc.ForEachCtx(ctx, conc.Limit(opts.Workers), len(reps), func(r int) {
 		i := reps[r]
-		infoList[i] = cfg.Analyze(prog, procs[i])
+		infoList[i] = cfg.Analyze(procs[i])
 		fps[i] = bodyfp.ComputeWithLiveMask(procs[i], conf, namedCallee, infoList[i].EntryLive)
 	}); err != nil {
 		return nil, err
 	}
 	for _, c := range clones {
-		infoList[c[0]] = infoList[c[1]].CloneForProgram(prog, procs[c[0]])
+		infoList[c[0]] = infoList[c[1]].CloneForProgram(procs[c[0]])
 		fps[c[0]] = fps[c[1]]
 	}
 	infos := make(map[string]*cfg.ProcInfo, n)

@@ -90,12 +90,12 @@ func TestReanalyzeGolden(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
 	orig := asm.MustParse(engineProgSrc)
-	eng.Infer(orig, lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 
 	mutSrc := mutateProc(t, engineProgSrc, "leaf_a")
 	mut := asm.MustParse(mutSrc)
-	inc := eng.Reanalyze(mut, lat, nil, DefaultOptions())
-	scratch := Infer(mut, lat, nil, DefaultOptions())
+	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, DefaultOptions()))
+	scratch := must(InferContext(bg, mut, lat, nil, DefaultOptions()))
 
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
@@ -116,9 +116,9 @@ func TestReanalyzeNoChange(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
 	orig := asm.MustParse(engineProgSrc)
-	eng.Infer(orig, lat, nil, DefaultOptions())
-	inc := eng.Reanalyze(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
-	scratch := Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
+	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
+	scratch := must(InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("no-change reanalysis output differs from scratch")
 	}
@@ -150,10 +150,10 @@ proc extra
     ret
 endproc
 `)
-	eng.Infer(before, lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, before, lat, nil, DefaultOptions()))
 	after := asm.MustParse(callsExtra)
-	inc := eng.Reanalyze(after, lat, nil, DefaultOptions())
-	scratch := Infer(asm.MustParse(callsExtra), lat, nil, DefaultOptions())
+	inc := must(eng.ReanalyzeContext(bg, after, lat, nil, DefaultOptions()))
+	scratch := must(InferContext(bg, asm.MustParse(callsExtra), lat, nil, DefaultOptions()))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("removal reanalysis differs from scratch")
 	}
@@ -163,9 +163,9 @@ endproc
 
 	// Added: session without extra, then it appears.
 	eng2 := NewEngine(0, 0)
-	eng2.Infer(asm.MustParse(callsExtra), lat, nil, DefaultOptions())
-	inc2 := eng2.Reanalyze(asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions())
-	scratch2 := Infer(asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions())
+	must(eng2.InferContext(bg, asm.MustParse(callsExtra), lat, nil, DefaultOptions()))
+	inc2 := must(eng2.ReanalyzeContext(bg, asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions()))
+	scratch2 := must(InferContext(bg, asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions()))
 	if dumpAll(inc2) != dumpAll(scratch2) {
 		t.Fatal("addition reanalysis differs from scratch")
 	}
@@ -202,9 +202,9 @@ endproc
 	// pong stops calling ping: {ping,pong} splits into {ping}, {pong}.
 	split := strings.Replace(mutual, "    call ping\n", "    call abs\n", 1)
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(mutual), lat, nil, DefaultOptions())
-	inc := eng.Reanalyze(asm.MustParse(split), lat, nil, DefaultOptions())
-	scratch := Infer(asm.MustParse(split), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(mutual), lat, nil, DefaultOptions()))
+	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(split), lat, nil, DefaultOptions()))
+	scratch := must(InferContext(bg, asm.MustParse(split), lat, nil, DefaultOptions()))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("SCC-split reanalysis differs from scratch")
 	}
@@ -225,9 +225,9 @@ func TestReanalyzeRegisterRename(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, opts)
-	inc := eng.Reanalyze(asm.MustParse(renamed), lat, nil, opts)
-	scratch := Infer(asm.MustParse(renamed), lat, nil, opts)
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, opts))
+	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(renamed), lat, nil, opts))
+	scratch := must(InferContext(bg, asm.MustParse(renamed), lat, nil, opts))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("register-renamed reanalysis differs from scratch")
 	}
@@ -249,9 +249,9 @@ func TestReanalyzeCorpusGolden(t *testing.T) {
 	mut := asm.MustParse(mutSrc)
 
 	eng := NewEngine(0, 0)
-	eng.Infer(orig, lat, nil, DefaultOptions())
-	inc := eng.Reanalyze(mut, lat, nil, DefaultOptions())
-	scratch := Infer(mut, lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
+	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, DefaultOptions()))
+	scratch := must(InferContext(bg, mut, lat, nil, DefaultOptions()))
 
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatal("incremental corpus output differs from scratch output")
@@ -307,11 +307,11 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	wantSCCs, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
 	wantProcs := len(cone)
 	eng := NewEngine(0, 0)
-	eng.Infer(orig, lat, nil, opts)
+	must(eng.InferContext(bg, orig, lat, nil, opts))
 	var c phaseCounter
 	hooked := opts
 	hooked.SchedHooks = c.hooks()
-	inc := eng.Reanalyze(mut, lat, nil, hooked)
+	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, hooked))
 	if int(inc.RecomputedProcs) != wantProcs {
 		t.Errorf("recomputed %d procedures, want the %d of the ancestor cone", inc.RecomputedProcs, wantProcs)
 	}
@@ -321,7 +321,7 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	if int(inc.ReplayedProcs) != len(mut.Procs)-wantProcs {
 		t.Errorf("replayed %d procedures, want every other one (%d)", inc.ReplayedProcs, len(mut.Procs)-wantProcs)
 	}
-	if dumpAll(inc) != dumpAll(Infer(mut, lat, nil, opts)) {
+	if dumpAll(inc) != dumpAll(must(InferContext(bg, mut, lat, nil, opts))) {
 		t.Error("incremental output differs from a from-scratch run")
 	}
 
@@ -331,13 +331,13 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		runtime.GC()
 		t0 := time.Now()
-		Infer(mut, lat, nil, opts)
+		must(InferContext(bg, mut, lat, nil, opts))
 		cold = min(cold, time.Since(t0))
 
-		eng.Infer(orig, lat, nil, opts) // re-prime the session (untimed)
+		must(eng.InferContext(bg, orig, lat, nil, opts)) // re-prime the session (untimed)
 		runtime.GC()
 		t0 = time.Now()
-		eng.Reanalyze(mut, lat, nil, opts)
+		must(eng.ReanalyzeContext(bg, mut, lat, nil, opts))
 		incOnly = min(incOnly, time.Since(t0))
 	}
 	t.Logf("cold=%v incremental=%v speedup=%.1f×", cold, incOnly, float64(cold)/float64(incOnly))
@@ -352,7 +352,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	prog := asm.MustParse(b.Source)
 
 	eng := NewEngine(0, 0)
-	cold := eng.Infer(prog, lat, nil, DefaultOptions())
+	cold := must(eng.InferContext(bg, prog, lat, nil, DefaultOptions()))
 	path := filepath.Join(t.TempDir(), "retypd.cache")
 	if err := eng.SaveCache(path); err != nil {
 		t.Fatal(err)
@@ -365,7 +365,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	if st.SchemeEntries == 0 || st.ShapeEntries == 0 {
 		t.Fatalf("loaded cache is empty: %+v", st)
 	}
-	warm := eng2.Infer(asm.MustParse(b.Source), lat, nil, DefaultOptions())
+	warm := must(eng2.InferContext(bg, asm.MustParse(b.Source), lat, nil, DefaultOptions()))
 
 	if dumpAll(cold) != dumpAll(warm) {
 		t.Fatal("warm-cache output differs from cold output")
@@ -391,7 +391,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 func TestEngineLoadRejectsCorruption(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	path := filepath.Join(t.TempDir(), "c.cache")
 	if err := eng.SaveCache(path); err != nil {
 		t.Fatal(err)
@@ -507,7 +507,7 @@ func checkRefinedOnly(t *testing.T, c *phaseCounter, want map[string]bool, prev,
 func TestReanalyzeRefinesMovedActuals(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	prev := eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	prev := must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	prevDump := dumpAll(prev)
 	before := eng.sess
 
@@ -515,8 +515,8 @@ func TestReanalyzeRefinesMovedActuals(t *testing.T) {
 	var c phaseCounter
 	opts := DefaultOptions()
 	opts.SchedHooks = c.hooks()
-	inc := eng.Reanalyze(asm.MustParse(src), lat, nil, opts)
-	scratch := Infer(asm.MustParse(src), lat, nil, DefaultOptions())
+	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(src), lat, nil, opts))
+	scratch := must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
 	}
@@ -546,12 +546,12 @@ func TestReanalyzeDropsOrphanedSpecialization(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := NewEngine(0, 0)
-			prev := eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+			prev := must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 			if len(prev.Procs["leaf_a"].SpecializedIns) == 0 {
 				t.Fatal("leaf_a has no specialization to drop; the test exercises nothing")
 			}
-			inc := eng.Reanalyze(asm.MustParse(tc.src), lat, nil, DefaultOptions())
-			scratch := Infer(asm.MustParse(tc.src), lat, nil, DefaultOptions())
+			inc := must(eng.ReanalyzeContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))
+			scratch := must(InferContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))
 			if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 				t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
 			}
@@ -575,14 +575,14 @@ func TestReanalyzeRefinesOnlyF3Dirty(t *testing.T) {
 	mut := asm.MustParse(src)
 
 	eng := NewEngine(0, 0)
-	prev := eng.Infer(orig, lat, nil, DefaultOptions())
+	prev := must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 	prevDump := dumpAll(prev)
 	before := eng.sess
 	var c phaseCounter
 	opts := DefaultOptions()
 	opts.SchedHooks = c.hooks()
-	inc := eng.Reanalyze(mut, lat, nil, opts)
-	if dumpAll(inc) != dumpAll(Infer(asm.MustParse(src), lat, nil, DefaultOptions())) {
+	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, opts))
+	if dumpAll(inc) != dumpAll(must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))) {
 		t.Fatal("incremental output differs from a from-scratch run")
 	}
 	_, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
@@ -631,7 +631,7 @@ func TestReanalyzeEditChain(t *testing.T) {
 	pick := func() *proc { return procs[r.Intn(len(procs))] }
 
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(source()), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(source()), lat, nil, DefaultOptions()))
 	var loop *[2]*proc // the back edge the last SCC edit added
 	var passer *proc   // the procedure the last pointer-passing edit changed
 	for step := 0; step < 36; step++ {
@@ -692,8 +692,8 @@ func TestReanalyzeEditChain(t *testing.T) {
 			what += ", after a session save/load"
 		}
 		src := source()
-		inc := eng.Reanalyze(asm.MustParse(src), lat, nil, DefaultOptions())
-		if dumpAll(inc) != dumpAll(Infer(asm.MustParse(src), lat, nil, DefaultOptions())) {
+		inc := must(eng.ReanalyzeContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
+		if dumpAll(inc) != dumpAll(must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))) {
 			t.Fatalf("step %d (%s): incremental output differs from scratch", step, what)
 		}
 		if inc.ReplayedProcs == 0 {

@@ -30,7 +30,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 func fuzzSessionSeeds() [][]byte {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveSessionTo(&buf); err != nil {
 		panic(err)
@@ -86,7 +86,7 @@ func FuzzLoadSession(f *testing.F) {
 func fuzzCacheSeeds() [][]byte {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveCacheTo(&buf); err != nil {
 		panic(err)
@@ -122,7 +122,7 @@ func FuzzLoadCache(f *testing.F) {
 	}
 	decodeHeld := func(eng *Engine) {
 		for _, c := range eng.bodies.sorted() {
-			eng.bodies.resolve(c)
+			eng.bodies.resolve(c, defaultConst)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,6 +10,7 @@ import (
 	"retypd/internal/asm"
 	"retypd/internal/constraints"
 	"retypd/internal/corpus"
+	"retypd/internal/intern"
 	"retypd/internal/lattice"
 )
 
@@ -53,6 +54,13 @@ func heldBlobs(e *Engine) (classes []*bodyClass, blobs [][]byte, entries []*body
 	return classes, blobs, entries
 }
 
+// defaultConst reports whether y names a constant of the default
+// lattice: the closure check a run under it applies to a decoded entry.
+func defaultConst(y intern.Sym) bool {
+	_, ok := lattice.Default().ElemSym(y)
+	return ok
+}
+
 // reseal rewrites data's trailing checksum over its current content.
 func reseal(data []byte) {
 	body := data[:len(data)-sha256.Size]
@@ -69,7 +77,7 @@ func fleetCacheBytes(t *testing.T, n, size int) ([]byte, []string) {
 	eng := NewEngine(0, 0)
 	var srcs []string
 	for _, b := range corpus.GenerateFleet("lazyfleet", 7, size, n, 0.5) {
-		eng.Infer(asm.MustParse(b.Source), lat, nil, DefaultOptions())
+		must(eng.InferContext(bg, asm.MustParse(b.Source), lat, nil, DefaultOptions()))
 		srcs = append(srcs, b.Source)
 	}
 	return saveBytes(t, eng), srcs
@@ -94,7 +102,7 @@ func TestLoadCacheDecodesEntriesOnFirstHit(t *testing.T) {
 		}
 	}
 
-	res := eng.Infer(asm.MustParse(srcs[0]), lattice.Default(), nil, DefaultOptions())
+	res := must(eng.InferContext(bg, asm.MustParse(srcs[0]), lattice.Default(), nil, DefaultOptions()))
 	if res.BodyDedupCrossHits == 0 {
 		t.Fatal("re-running a cached binary served nothing from the loaded table")
 	}
@@ -159,9 +167,9 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 	lat := lattice.Default()
 	prog := corpus.Generate("lazycorrupt", 23, 1500).Source
 	eng0 := NewEngine(0, 0)
-	eng0.Infer(asm.MustParse(prog), lat, nil, DefaultOptions())
+	must(eng0.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
 	data := saveBytes(t, eng0)
-	want := dumpAll(Infer(asm.MustParse(prog), lat, nil, DefaultOptions()))
+	want := dumpAll(must(InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions())))
 
 	// Each corruption reports whether it found a change that makes the
 	// blob fail to decode; part corruptions touch only that part.
@@ -221,7 +229,7 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 			if st.BodyEntries != len(blobs) {
 				t.Fatalf("load carried %d entries, want %d", st.BodyEntries, len(blobs))
 			}
-			res := eng.Infer(asm.MustParse(prog), lat, nil, DefaultOptions())
+			res := must(eng.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
 			if got := dumpAll(res); got != want {
 				t.Fatal("output with corrupt entries differs from a cold run")
 			}
@@ -241,6 +249,71 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 				t.Errorf("saved %d entries, want %d (%d corrupt ones republished)", len(saved), len(blobs), corrupted)
 			}
 		})
+	}
+}
+
+// TestLoadCacheUnclosedEntryIsMiss: a body entry whose scheme names a
+// variable beyond its root, its existentials and lattice constants —
+// here another procedure of the program — decodes, but is a miss at
+// first hit: its members run the full path and republish, the output
+// equals a cold run byte for byte, and the unclosed blob is not saved
+// again. Served by rerooting, the foreign variable would reach the
+// member's scheme.
+func TestLoadCacheUnclosedEntryIsMiss(t *testing.T) {
+	lat := lattice.Default()
+	prog := corpus.Generate("lazyunclosed", 23, 1500).Source
+	eng0 := NewEngine(0, 0)
+	must(eng0.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
+	want := dumpAll(must(InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions())))
+
+	// Every other carried entry gets a constraint on a foreign procedure
+	// variable, re-encoded; a loaded table saves its blobs verbatim.
+	tamper := loadBytes(t, saveBytes(t, eng0))
+	classes, blobs, _ := heldBlobs(tamper)
+	if len(classes) < 2 {
+		t.Fatalf("cache carries %d body entries, want at least 2", len(classes))
+	}
+	entries := make([]*bodyEntry, len(blobs))
+	for i, b := range blobs {
+		e, err := decodeEntryWire(b)
+		if err != nil {
+			t.Fatalf("blob %d: %v", i, err)
+		}
+		entries[i] = e
+	}
+	tampered := 0
+	for i := 0; i < len(classes); i += 2 {
+		e := entries[i]
+		// The next entry's publisher: a procedure other than e's own.
+		foreign := constraints.BaseDTV(constraints.Var(entries[(i+1)%len(entries)].rep))
+		cs := e.scheme.Constraints.Clone()
+		cs.AddSub(foreign, constraints.BaseDTV(e.scheme.Root))
+		e.scheme = &constraints.Scheme{Root: e.scheme.Root, Constraints: cs, Existential: e.scheme.Existential}
+		classes[i].blob = appendEntryWire(nil, e)
+		tampered++
+	}
+	bad := saveBytes(t, tamper)
+
+	eng := loadBytes(t, bad)
+	res := must(eng.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
+	if got := dumpAll(res); got != want {
+		t.Fatal("output with unclosed entries differs from a cold run")
+	}
+	if res.BodyDedupCrossHits == 0 {
+		t.Error("intact entries served nothing")
+	}
+	_, saved, _ := heldBlobs(loadBytes(t, saveBytes(t, eng)))
+	for i, b := range saved {
+		e, err := decodeEntryWire(b)
+		if err != nil {
+			t.Fatalf("saved blob %d does not decode: %v", i, err)
+		}
+		if !constraints.Closed(e.scheme.Constraints, e.scheme.Root, e.scheme.Existential, defaultConst) {
+			t.Fatalf("saved blob %d carries an unclosed scheme", i)
+		}
+	}
+	if len(saved) != len(blobs) {
+		t.Errorf("saved %d entries, want %d (%d unclosed ones republished)", len(saved), len(blobs), tampered)
 	}
 }
 
@@ -271,7 +344,7 @@ func TestSaveCacheWritesCarriedBlobsVerbatim(t *testing.T) {
 		classes, _, _ := heldBlobs(eng)
 		for i, c := range classes {
 			if hit.every > 0 && i%hit.every == 0 {
-				if eng.bodies.resolve(c) == nil {
+				if eng.bodies.resolve(c, defaultConst) == nil {
 					t.Fatalf("%s: blob %d failed to decode", hit.name, i)
 				}
 			}
@@ -290,11 +363,11 @@ func TestLoadedEntriesServeRenamedTwin(t *testing.T) {
 	src := corpus.GenerateWithPrefix("lazyraw", "", 43, 1000).Source
 	twin := corpus.GenerateWithPrefix("lazyraw", "tw_", 43, 1000).Source
 	eng0 := NewEngine(0, 0)
-	eng0.Infer(asm.MustParse(src), lat, nil, DefaultOptions())
+	must(eng0.InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
 	eng := loadBytes(t, saveBytes(t, eng0))
-	want := dumpAll(Infer(asm.MustParse(twin), lat, nil, DefaultOptions()))
+	want := dumpAll(must(InferContext(bg, asm.MustParse(twin), lat, nil, DefaultOptions())))
 	for run := range 2 {
-		res := eng.Infer(asm.MustParse(twin), lat, nil, DefaultOptions())
+		res := must(eng.InferContext(bg, asm.MustParse(twin), lat, nil, DefaultOptions()))
 		if res.BodyDedupCrossHits == 0 {
 			t.Fatalf("run %d served nothing from the loaded entries", run)
 		}
@@ -319,7 +392,7 @@ func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
 		corpus.GenerateWithPrefix("lazyrace", "tb_", 41, 1000).Source,
 	}
 	eng0 := NewEngine(0, 0)
-	eng0.Infer(asm.MustParse(src), lat, nil, opts)
+	must(eng0.InferContext(bg, asm.MustParse(src), lat, nil, opts))
 	data := saveBytes(t, eng0)
 
 	eng := loadBytes(t, data)
@@ -330,7 +403,7 @@ func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outs[i] = eng.Infer(asm.MustParse(tw), lat, nil, opts)
+			outs[i] = must(eng.InferContext(bg, asm.MustParse(tw), lat, nil, opts))
 		}()
 	}
 	done := make(chan struct{})
@@ -352,7 +425,7 @@ func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
 		if outs[i].BodyDedupCrossHits == 0 {
 			t.Errorf("twin %d served nothing from the loaded entries", i)
 		}
-		if dumpAll(outs[i]) != dumpAll(Infer(asm.MustParse(tw), lat, nil, opts)) {
+		if dumpAll(outs[i]) != dumpAll(must(InferContext(bg, asm.MustParse(tw), lat, nil, opts))) {
 			t.Errorf("twin %d: output differs from a cold run", i)
 		}
 	}

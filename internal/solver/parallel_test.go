@@ -42,7 +42,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	base.Workers = 1
 	base.NoSchemeCache = true
 	base.NoShapeCache = true
-	want := dump(Infer(prog, lat, nil, base))
+	want := dump(must(InferContext(bg, prog, lat, nil, base)))
 
 	cases := []struct {
 		name string
@@ -61,7 +61,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			tc.mod(&opts)
-			got := dump(Infer(prog, lat, nil, opts))
+			got := dump(must(InferContext(bg, prog, lat, nil, opts)))
 			if got != want {
 				t.Errorf("output diverged from sequential/no-cache baseline (len %d vs %d)",
 					len(got), len(want))
@@ -80,7 +80,7 @@ func TestInferDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
-		got := dump(Infer(prog, lat, nil, opts))
+		got := dump(must(InferContext(bg, prog, lat, nil, opts)))
 		if i == 0 {
 			want = got
 			continue
@@ -102,9 +102,9 @@ func TestSchemeCacheShared(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SchemeCache = cache
 
-	r1 := Infer(prog, lat, nil, opts)
+	r1 := must(InferContext(bg, prog, lat, nil, opts))
 	h1, m1 := cache.Stats()
-	r2 := Infer(prog, lat, nil, opts)
+	r2 := must(InferContext(bg, prog, lat, nil, opts))
 	h2, _ := cache.Stats()
 
 	if h2 == h1 {
@@ -126,7 +126,7 @@ func TestNoSchemeCacheWinsOverProvidedCache(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SchemeCache = cache
 	opts.NoSchemeCache = true
-	res := Infer(prog, lat, nil, opts)
+	res := must(InferContext(bg, prog, lat, nil, opts))
 
 	if h, m := cache.Stats(); h != 0 || m != 0 {
 		t.Errorf("provided cache was consulted despite NoSchemeCache (hits=%d misses=%d)", h, m)
@@ -147,14 +147,14 @@ func TestShapeCacheGoldenOnOff(t *testing.T) {
 	off := DefaultOptions()
 	off.Workers = 2
 	off.NoShapeCache = true
-	want := dump(Infer(prog, lat, nil, off))
+	want := dump(must(InferContext(bg, prog, lat, nil, off)))
 
 	cache := sketch.NewShapeCache(0)
 	for run := 0; run < 2; run++ {
 		on := DefaultOptions()
 		on.Workers = 2
 		on.ShapeCache = cache
-		res := Infer(prog, lat, nil, on)
+		res := must(InferContext(bg, prog, lat, nil, on))
 		if got := dump(res); got != want {
 			t.Fatalf("run %d: shape cache changed output (len %d vs %d)", run, len(got), len(want))
 		}
@@ -176,7 +176,7 @@ func TestShapeCacheDeterministic(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
 		opts.ShapeCache = cache
-		got := dump(Infer(prog, lat, nil, opts))
+		got := dump(must(InferContext(bg, prog, lat, nil, opts)))
 		if i == 0 {
 			want = got
 			continue
@@ -198,8 +198,8 @@ func TestShapeCacheShared(t *testing.T) {
 	opts := DefaultOptions()
 	opts.ShapeCache = cache
 
-	r1 := Infer(prog, lat, nil, opts)
-	r2 := Infer(prog, lat, nil, opts)
+	r1 := must(InferContext(bg, prog, lat, nil, opts))
+	r2 := must(InferContext(bg, prog, lat, nil, opts))
 	if r1.ShapeCacheHits+r1.ShapeCacheMisses == 0 {
 		t.Fatal("first run never consulted the shape cache")
 	}
@@ -222,7 +222,7 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.ShapeCache = cache
-	res := Infer(prog, lat, nil, opts)
+	res := must(InferContext(bg, prog, lat, nil, opts))
 	if res.ShapeCacheHits == 0 {
 		t.Fatal("corpus produced no shape-cache hits; guard test needs served sketches")
 	}
@@ -267,7 +267,7 @@ func TestNoShapeCacheWinsOverProvidedCache(t *testing.T) {
 	// members; turn it off so the sealed check below isolates the shape
 	// cache.
 	opts.NoBodyDedup = true
-	res := Infer(prog, lat, nil, opts)
+	res := must(InferContext(bg, prog, lat, nil, opts))
 
 	if h, m := cache.Stats(); h != 0 || m != 0 {
 		t.Errorf("provided cache was consulted despite NoShapeCache (hits=%d misses=%d)", h, m)

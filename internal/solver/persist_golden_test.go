@@ -73,7 +73,7 @@ func TestPR5GoldenWarmRun(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 1
-	res := eng.Infer(goldenProg(t), lattice.Default(), nil, opts)
+	res := must(eng.InferContext(bg, goldenProg(t), lattice.Default(), nil, opts))
 
 	want := string(readFile(t, goldenDump))
 	if got := res.DumpSchemes() + "\n===\n" + res.DumpSpecialized(); got != want {
@@ -101,7 +101,7 @@ func TestPR5GoldenWarmPerturbed(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Workers = 4
 		opts.SchedHooks = schedtest.New(seed).Hooks()
-		res := eng.Infer(goldenProg(t), lattice.Default(), nil, opts)
+		res := must(eng.InferContext(bg, goldenProg(t), lattice.Default(), nil, opts))
 		if got := res.DumpSchemes() + "\n===\n" + res.DumpSpecialized(); got != want {
 			t.Fatalf("seed %d: perturbed warm run diverged from recorded dump", seed)
 		}

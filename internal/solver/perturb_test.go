@@ -126,7 +126,7 @@ func runPerturbed(prog *asm.Program, lat *lattice.Lattice, seed int64, workers i
 	if seed >= 0 {
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 	}
-	return Infer(prog, lat, nil, opts)
+	return must(InferContext(bg, prog, lat, nil, opts))
 }
 
 // TestPerturbedDeterminism4000: seeded trials over the 4000-inst corpus
@@ -200,7 +200,7 @@ func TestPerturbedSharedCaches(t *testing.T) {
 		opts.SchemeCache = scheme
 		opts.ShapeCache = shape
 		opts.SchedHooks = schedtest.New(seed).Hooks()
-		if got := dump(Infer(prog, lat, nil, opts)); got != want {
+		if got := dump(must(InferContext(bg, prog, lat, nil, opts))); got != want {
 			t.Fatalf("seed %d: shared-cache perturbed run diverged", seed)
 		}
 	}
@@ -223,13 +223,13 @@ func TestPerturbedIncremental(t *testing.T) {
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 
 		eng := NewEngine(0, 0)
-		eng.Infer(prog1, lat, nil, opts)
-		inc := eng.Reanalyze(prog2, lat, nil, opts)
+		must(eng.InferContext(bg, prog1, lat, nil, opts))
+		inc := must(eng.ReanalyzeContext(bg, prog2, lat, nil, opts))
 		if inc.ReplayedProcs == 0 {
 			t.Fatalf("seed %d: edit dirtied everything; replay path not exercised", seed)
 		}
 
-		fresh := Infer(prog2, lat, nil, DefaultOptions())
+		fresh := must(InferContext(bg, prog2, lat, nil, DefaultOptions()))
 		if dump(inc) != dump(fresh) {
 			t.Fatalf("seed %d (workers=%d): perturbed incremental run diverged from from-scratch", seed, opts.Workers)
 		}

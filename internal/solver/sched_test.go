@@ -94,7 +94,7 @@ func checkReadinessProperties(t *testing.T, cg *cfg.CallGraph, order []string, e
 			if scc := sccOf[order[ev.idx]]; !f1Done[scc] {
 				t.Fatalf("procedure %s started F.2 before its SCC %d finished F.1", order[ev.idx], scc)
 			}
-		case evF2Translate:
+		case evF2Serve:
 			if !f2Done[ev.aux] {
 				t.Fatalf("member %s translated before representative %s finished F.2",
 					order[ev.idx], order[ev.aux])
@@ -121,7 +121,7 @@ func checkReadinessProperties(t *testing.T, cg *cfg.CallGraph, order []string, e
 func translationPairs(order []string, events []schedEvent) []string {
 	var pairs []string
 	for _, ev := range events {
-		if ev.kind == evF2Translate {
+		if ev.kind == evF2Serve {
 			pairs = append(pairs, order[ev.idx]+"<-"+order[ev.aux])
 		}
 	}
@@ -139,7 +139,7 @@ func runTraced(t *testing.T, prog *asm.Program, seed int64, workers int) (*cfg.C
 	if seed >= 0 {
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 	}
-	res := Infer(prog, lattice.Default(), nil, opts)
+	res := must(InferContext(bg, prog, lattice.Default(), nil, opts))
 	cg := cfg.BuildCallGraph(prog)
 	// Mirror pipeline.initIndex: procedure indices in the event stream
 	// follow the top-down SCC concatenation.
@@ -285,7 +285,7 @@ func TestReadinessPoolRunsSCCsConcurrently(t *testing.T) {
 		inHook--
 		mu.Unlock()
 	}}
-	res := Infer(prog, lat, nil, opts)
+	res := must(InferContext(bg, prog, lat, nil, opts))
 
 	if gaveUp {
 		t.Fatal("no second task started while the first was held")
@@ -295,7 +295,7 @@ func TestReadinessPoolRunsSCCsConcurrently(t *testing.T) {
 	}
 	seq := DefaultOptions()
 	seq.Workers = 1
-	if dumpAll(res) != dumpAll(Infer(prog, lat, nil, seq)) {
+	if dumpAll(res) != dumpAll(must(InferContext(bg, prog, lat, nil, seq))) {
 		t.Error("output under the held schedule differs from the sequential run")
 	}
 }

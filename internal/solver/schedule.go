@@ -64,7 +64,7 @@ func sccLevels(cg *cfg.CallGraph) [][]int {
 
 // classifyBodies is the body-dedup classification pre-pass: fingerprint
 // every eligible body and assign it a class — and, for non-first
-// occurrences, a translation plan — before any scheduling happens.
+// occurrences, a serving plan — before any scheduling happens.
 // Classification depends only on body fingerprints and previously
 // assigned callee classes, never on inferred schemes, so it can run
 // entirely ahead of the pipeline; doing it here, sequentially in
@@ -100,7 +100,7 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 					return
 				}
 				fps[i] = bodyfp.Compute(cg.Prog.ProcIndex[scc[0]], pl.dedup.conf, pl.dedup.calleeID)
-				pl.dedup.cache.prefetch(fps[i])
+				pl.dedup.cache.prefetch(fps[i], pl.dedup.isConstSym)
 			})
 		})
 		if err != nil {
@@ -108,7 +108,9 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 		}
 		for i := range level {
 			if fps[i] != nil {
-				plans[level[i]] = pl.dedup.classify(cg.SCCs[level[i]][0], fps[i], isProc)
+				p := cg.SCCs[level[i]][0]
+				plans[level[i]] = pl.dedup.classify(p, fps[i], isProc)
+				pl.memberOf[pl.procIdx[p]] = plans[level[i]]
 			}
 		}
 	}
@@ -118,13 +120,13 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 // schedGraph is the per-run readiness graph the F.1/F.2 pipeline
 // executes on. Every SCC carries a pending count of unfinished
 // dependencies (its callee SCCs, plus its dedup representative's SCC
-// when it is served by translation); workers pull ready tasks from the
+// when it is served from one); workers pull ready tasks from the
 // work-stealing pool, and completing an SCC's F.1 decrements its
 // callers' counts — no level barrier, so a straggler SCC only ever
 // blocks its true ancestors. The moment a procedure's F.1 scheme is
 // published, its F.2 sketch solving becomes ready (dedup members
 // additionally wait for their representative's F.2, whose result they
-// translate), so sketch solving of finished subtrees overlaps scheme
+// share), so sketch solving of finished subtrees overlaps scheme
 // inference of upper regions.
 //
 // Counters are atomic; the executor's queue transfer provides the
@@ -141,7 +143,7 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 type schedGraph struct {
 	pl    *pipeline
 	cg    *cfg.CallGraph
-	plans []*memberPlan // per SCC; non-nil = dedup-member translation
+	plans []*memberPlan // per SCC; non-nil = dedup-member serve
 
 	f1Pending []atomic.Int32 // per SCC: unfinished F.1 dependencies
 	f1Callers [][]int        // per SCC: SCCs to signal on F.1 completion
@@ -152,20 +154,21 @@ type schedGraph struct {
 // schedEvent is one observation of the readiness scheduler, emitted to
 // the test-only Options.schedTrace seam. idx is an SCC index for F.1
 // events and a procedure index (pipeline.procIdx) for F.2 events; aux
-// is the representative's procedure index on evF2Translate and unused
+// is the representative's procedure index on evF2Serve (-1 for a
+// stored entry) and unused
 // otherwise.
 type schedEvent struct {
-	kind int // evF1Start … evF2Translate
+	kind int // evF1Start … evF2Serve
 	idx  int
 	aux  int
 }
 
 const (
-	evF1Start     = iota // SCC F.1 task picked up
-	evF1Done             // SCC schemes published, dependents about to be signaled
-	evF2Start            // procedure F.2 task picked up
-	evF2Done             // procedure result written, waiters about to be signaled
-	evF2Translate        // F.2 served by dedup translation from representative aux
+	evF1Start = iota // SCC F.1 task picked up
+	evF1Done         // SCC schemes published, dependents about to be signaled
+	evF2Start        // procedure F.2 task picked up
+	evF2Done         // procedure result written, waiters about to be signaled
+	evF2Serve        // F.2 served by body dedup from representative aux
 )
 
 // trace emits ev when the test seam is installed.
@@ -206,11 +209,9 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 			}
 		}
 		if plans[i] != nil && plans[i].entry == nil {
-			// The member's F.1 translates its representative's scheme.
-			// Entry-served members translate a stored entry instead and
-			// take no dependency on any SCC of this run (their rep name
-			// belongs to the publishing program — a same-named local
-			// procedure, should one exist, is unrelated).
+			// The member's F.1 reroots its representative's scheme.
+			// Entry-served members reroot a stored entry's instead and
+			// take no dependency on any SCC of this run.
 			depSet[sccOf[plans[i].rep]] = true
 		}
 		deps := make([]int, 0, len(depSet))
@@ -230,7 +231,7 @@ func (pl *pipeline) buildSched(cg *cfg.CallGraph, plans []*memberPlan) *schedGra
 	}
 	for i := range cg.SCCs {
 		if plans[i] == nil || plans[i].entry != nil {
-			// Entry-served members translate the stored entry's sealed
+			// Entry-served members share the stored entry's sealed
 			// results in their own F.2 — no gate beyond their own F.1.
 			continue
 		}
@@ -282,7 +283,7 @@ func (s *schedGraph) run() error {
 	})
 }
 
-// f1Task returns the F.1 task of SCC i: infer (or translate) its
+// f1Task returns the F.1 task of SCC i: infer (or serve) its
 // schemes, then signal its procedures' F.2 gates and its caller
 // SCCs. The task body runs guarded; on a fault nothing is signalled.
 func (s *schedGraph) f1Task(i int) conc.Task {
@@ -321,8 +322,8 @@ func (s *schedGraph) runF1(i int) {
 }
 
 // f2Task returns the F.2 task of procedure index pi: solve (or
-// translate) its sketch, then signal any dedup members
-// waiting to translate this procedure's result. The task body runs
+// serve) its sketch, then signal any dedup members
+// waiting to share this procedure's result. The task body runs
 // guarded; on a fault nothing is signalled.
 func (s *schedGraph) f2Task(pi int) conc.Task {
 	pl := s.pl
@@ -332,24 +333,19 @@ func (s *schedGraph) f2Task(pi int) conc.Task {
 		Run: func(sub conc.Submitter) {
 			s.trace(evF2Start, pi, 0)
 			ok := pl.runGuarded("F.2", -1, p, func() {
-				switch {
-				case pl.memberOf[pi] != nil && pl.memberOf[pi].entry != nil:
-					// Cross-program serve from a stored body entry; aux -1
-					// marks that the source is no procedure of this run.
-					s.trace(evF2Translate, pi, -1)
-					pl.prs[pi], pl.obs[pi] = pl.translateEntry(p, pl.memberOf[pi])
-				case pl.memberOf[pi] != nil:
-					plan := pl.memberOf[pi]
-					ri := pl.procIdx[plan.rep]
-					s.trace(evF2Translate, pi, ri)
-					pl.prs[pi], pl.obs[pi] = pl.translateProc(p, plan, pl.prs[ri], pl.obs[ri])
-				default:
-					// Includes members whose F.1 translation fell back to the
-					// full path (memberOf stayed nil): they solve like any other
-					// procedure; the leftover gate on the representative's F.2
-					// only delayed, never blocked, this task.
+				plan := pl.memberOf[pi]
+				if plan == nil {
 					pl.prs[pi], pl.obs[pi] = pl.solveProc(p)
+					return
 				}
+				// aux -1 marks a cross-program serve from a stored body
+				// entry: its source is no procedure of this run.
+				src := -1
+				if plan.entry == nil {
+					src = pl.procIdx[plan.rep]
+				}
+				s.trace(evF2Serve, pi, src)
+				pl.prs[pi], pl.obs[pi] = pl.serveMember(p, plan)
 			})
 			if !ok {
 				return

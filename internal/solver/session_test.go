@@ -23,7 +23,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	opts := DefaultOptions()
 
 	eng := NewEngine(0, 0)
-	cold := eng.Infer(prog, lat, nil, opts)
+	cold := must(eng.InferContext(bg, prog, lat, nil, opts))
 	path := filepath.Join(t.TempDir(), "retypd.session")
 	if err := eng.SaveSession(path); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	if procs != len(prog.Procs) {
 		t.Fatalf("loaded %d procedure snapshots, program has %d", procs, len(prog.Procs))
 	}
-	warm := eng2.Reanalyze(asm.MustParse(b.Source), lat, nil, opts)
+	warm := must(eng2.ReanalyzeContext(bg, asm.MustParse(b.Source), lat, nil, opts))
 	if warm.RecomputedProcs != 0 || warm.ReplayedProcs != uint64(len(prog.Procs)) {
 		t.Errorf("unchanged program after session load: replayed=%d recomputed=%d (want %d/0)",
 			warm.ReplayedProcs, warm.RecomputedProcs, len(prog.Procs))
@@ -53,12 +53,12 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := eng3.Reanalyze(mut, lat, nil, opts)
+	inc := must(eng3.ReanalyzeContext(bg, mut, lat, nil, opts))
 	if inc.RecomputedProcs == 0 || inc.ReplayedProcs == 0 {
 		t.Errorf("edit after session load: replayed=%d recomputed=%d (want both nonzero)",
 			inc.ReplayedProcs, inc.RecomputedProcs)
 	}
-	if dumpAll(Infer(mut, lat, nil, opts)) != dumpAll(inc) {
+	if dumpAll(must(InferContext(bg, mut, lat, nil, opts))) != dumpAll(inc) {
 		t.Error("session-incremental output differs from from-scratch output of the edit")
 	}
 }
@@ -68,7 +68,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 func TestSessionWireRoundTripBytes(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var first bytes.Buffer
 	if err := eng.SaveSessionTo(&first); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSessionNoSession(t *testing.T) {
 func TestSessionLoadRejectsCorruption(t *testing.T) {
 	lat := lattice.Default()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(engineProgSrc), lat, nil, DefaultOptions())
+	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveSessionTo(&buf); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	opts := DefaultOptions()
 
 	eng := NewEngine(0, 0)
-	cold := eng.Infer(asm.MustParse(b.Source), lat, nil, opts)
+	cold := must(eng.InferContext(bg, asm.MustParse(b.Source), lat, nil, opts))
 	var sess bytes.Buffer
 	if err := eng.SaveSessionTo(&sess); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	if _, err := warmEng.LoadSessionData(sess.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	warm := warmEng.Reanalyze(prog, lat, nil, hooked)
+	warm := must(warmEng.ReanalyzeContext(bg, prog, lat, nil, hooked))
 	warmTime := time.Since(t0)
 
 	if warm.RecomputedProcs != 0 {
@@ -166,7 +166,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	}
 
 	t0 = time.Now()
-	Infer(asm.MustParse(b.Source), lat, nil, opts)
+	must(InferContext(bg, asm.MustParse(b.Source), lat, nil, opts))
 	coldTime := time.Since(t0)
 	t.Logf("cold=%v session-warm=%v speedup=%.1f×", coldTime, warmTime, float64(coldTime)/float64(warmTime))
 }
@@ -181,7 +181,7 @@ func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
 	src := corpus.Generate("session", 7, 1500).Source
 	opts := DefaultOptions()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(src), lat, nil, opts)
+	must(eng.InferContext(bg, asm.MustParse(src), lat, nil, opts))
 	var sess bytes.Buffer
 	if err := eng.SaveSessionTo(&sess); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
 	var c phaseCounter
 	hooked := opts
 	hooked.SchedHooks = c.hooks()
-	first := loaded.Reanalyze(prog, lat, nil, hooked)
+	first := must(loaded.ReanalyzeContext(bg, prog, lat, nil, hooked))
 	if first.RecomputedProcs == 0 || first.ReplayedProcs == 0 {
 		t.Fatalf("recomputed %d, replayed %d: want an edit that replays most of the program",
 			first.RecomputedProcs, first.ReplayedProcs)
@@ -204,13 +204,13 @@ func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
 	if len(c.refined) != len(prog.Procs) {
 		t.Errorf("F.3 refined %d procedures after a load, want every one (%d)", len(c.refined), len(prog.Procs))
 	}
-	if dumpAll(first) != dumpAll(Infer(asm.MustParse(edited), lat, nil, opts)) {
+	if dumpAll(first) != dumpAll(must(InferContext(bg, asm.MustParse(edited), lat, nil, opts))) {
 		t.Fatal("first Reanalyze after a load differs from a from-scratch run")
 	}
 
 	var c2 phaseCounter
 	hooked.SchedHooks = c2.hooks()
-	second := loaded.Reanalyze(asm.MustParse(edited), lat, nil, hooked)
+	second := must(loaded.ReanalyzeContext(bg, asm.MustParse(edited), lat, nil, hooked))
 	if len(c2.refined) != 0 {
 		t.Errorf("unchanged Reanalyze refined %d procedures, want none", len(c2.refined))
 	}

@@ -231,24 +231,11 @@ type Result struct {
 	// the layer is disabled.
 	BodyDedupHits, BodyDedupCrossHits, BodyDedupMisses uint64
 	// ReplayedProcs and RecomputedProcs report incremental re-analysis
-	// (Engine.Reanalyze): procedures replayed verbatim from the
+	// (Engine.ReanalyzeContext): procedures replayed verbatim from the
 	// previous session versus procedures that went through the full
 	// pipeline because their body — or a transitive callee's — changed.
 	// Both zero for non-incremental runs.
 	ReplayedProcs, RecomputedProcs uint64
-}
-
-// Infer runs the full pipeline. It cannot be cancelled; a task panic —
-// contained into an *AnalysisError by the scheduler — is re-raised.
-// Cancellable, error-returning callers use InferContext.
-func Infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) *Result {
-	res, err := InferContext(context.Background(), prog, lat, sums, opts)
-	if err != nil {
-		// Background is never cancelled, so err is an *AnalysisError or
-		// a *LimitError; the legacy contract surfaces both as panics.
-		panic(err)
-	}
-	return res
 }
 
 // InferContext runs the full pipeline under ctx. Cancellation is
@@ -281,8 +268,8 @@ func admit(prog *asm.Program, opts Options) error {
 	return nil
 }
 
-// infer is the pipeline entry shared by Infer and the engine. infos and
-// cg may be pre-computed (Reanalyze rebases unchanged per-procedure
+// infer is the pipeline entry shared by InferContext and the engine.
+// infos and cg may be pre-computed (Reanalyze rebases unchanged per-procedure
 // analyses); inc, when non-nil, switches the run into incremental mode:
 // procedures outside inc.dirty are replayed from their session
 // snapshots instead of re-solved. The returned artifacts carry the
@@ -442,8 +429,8 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		res.ShapeCacheHits, res.ShapeCacheMisses = h-shapeHits0, m-shapeMisses0
 	}
 	if pl.dedup != nil {
-		res.BodyDedupHits, res.BodyDedupMisses = pl.dedup.hits.Load(), pl.dedup.misses.Load()
-		res.BodyDedupCrossHits = pl.dedup.crossHits.Load()
+		res.BodyDedupHits, res.BodyDedupMisses = pl.dedup.hits, pl.dedup.misses
+		res.BodyDedupCrossHits = pl.dedup.crossHits
 		// Publish only now, after every phase succeeded: entries must
 		// never expose results of a faulted or cancelled run.
 		pl.dedup.publish(pl, prog)
@@ -497,7 +484,7 @@ type runArtifacts struct {
 // (nil for new procedures); infos and fps its analyses and session
 // fingerprint in the new program, which the engine records; dirty
 // marks the procedures that run F.1 and F.2 again. The plan's
-// construction (Engine.Reanalyze) guarantees the replay soundness
+// construction (Engine.ReanalyzeContext) guarantees the replay soundness
 // invariant: a clean procedure's transitive callees are all clean, so
 // its previous scheme, sketch and callsite observations are
 // byte-identical to what a from-scratch run would compute.
@@ -593,7 +580,7 @@ type pipeline struct {
 	// schemes, gens and fps are per-procedure slots written exactly
 	// once, by the owning SCC's F.1 task, and read only by tasks the
 	// readiness graph orders after that write (caller SCCs' F.1, the
-	// procedure's own F.2, members translating a representative) — so
+	// procedure's own F.2, members served from a representative) — so
 	// concurrent tasks touch disjoint elements and a shared map's
 	// write/read races cannot arise. fps carries the constraint-set
 	// fingerprint of each single-member SCC forward so Phase 2 need not
@@ -605,9 +592,9 @@ type pipeline struct {
 	gens    []*absint.Result
 	fps     []*pgraph.FP
 
-	// memberOf marks procedures served by body-dedup translation: set
-	// by the member's own F.1 task when the scheme surgery succeeds,
-	// read by its F.2 task (ordered after F.1 by the readiness graph).
+	// memberOf marks procedures served by body dedup: set in the
+	// sequential classification pre-pass, read by their F.1 and F.2
+	// tasks.
 	memberOf []*memberPlan
 
 	// dedup is the whole-body deduplication layer (nil when disabled).
@@ -682,7 +669,7 @@ func (pl *pipeline) buildInfos(prog *asm.Program) map[string]*cfg.ProcInfo {
 	}
 	analyzed := make([]*cfg.ProcInfo, len(fresh))
 	conc.ForEach(pl.workers, len(fresh), func(i int) {
-		analyzed[i] = cfg.Analyze(prog, fresh[i])
+		analyzed[i] = cfg.Analyze(fresh[i])
 	})
 	infos := make(map[string]*cfg.ProcInfo, len(prog.Procs))
 	for i, p := range fresh {
@@ -690,7 +677,7 @@ func (pl *pipeline) buildInfos(prog *asm.Program) map[string]*cfg.ProcInfo {
 	}
 	for _, p := range prog.Procs {
 		if a, ok := cloneFrom[p.Name]; ok {
-			infos[p.Name] = infos[a].CloneForProgram(prog, p)
+			infos[p.Name] = infos[a].CloneForProgram(p)
 		}
 	}
 	cfg.FinishHasOut(infos)
@@ -776,33 +763,21 @@ func (pl *pipeline) publishSCC(scc []string, out *sccResult) {
 	}
 }
 
-// runMemberF1 serves a dedup member's F.1 by translating its source's
-// scheme — the stored body entry's for cross-program serves, the
-// in-program representative's published one otherwise; when the rename
-// surgery cannot classify a variable it falls back to the full path
-// (any leftover F.2 gate on a representative then only delays, never
-// blocks).
+// runMemberF1 serves a dedup member's F.1: its scheme is its source's
+// — the stored body entry's for cross-program serves, the in-program
+// representative's published one otherwise — rerooted at the member.
+// Both are closed (entries are checked when decoded), so the root is
+// the only name to change.
 func (pl *pipeline) runMemberF1(p string, plan *memberPlan) {
-	i := pl.procIdx[p]
-	var sc *constraints.Scheme
-	ok := false
+	var src *constraints.Scheme
 	if plan.entry != nil {
-		sc, ok = plan.ren.TranslateScheme(plan.entry.scheme)
-	} else if rep := pl.schemeOf(plan.rep); rep != nil {
-		sc, ok = plan.ren.TranslateScheme(rep)
-	}
-	if !ok {
-		pl.publishSCC([]string{p}, pl.inferSCC([]string{p}))
-		pl.dedup.misses.Add(1)
-		return
-	}
-	pl.schemes[i] = sc
-	pl.memberOf[i] = plan
-	if plan.entry != nil {
-		pl.dedup.crossHits.Add(1)
+		src = plan.entry.scheme
 	} else {
-		pl.dedup.hits.Add(1)
+		src = pl.schemeOf(plan.rep)
 	}
+	root := constraints.Var(p)
+	cs, ex := constraints.Reroot(src.Constraints, src.Existential, src.Root, root)
+	pl.schemes[pl.procIdx[p]] = &constraints.Scheme{Root: root, Constraints: cs, Existential: ex}
 }
 
 // sccResult is the output of scheme inference for one SCC.

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,18 @@ import (
 	"retypd/internal/lattice"
 	"retypd/internal/pgraph"
 )
+
+// bg is the context of test runs that are never cancelled.
+var bg = context.Background()
+
+// must returns res, panicking on err: the runs it wraps are expected to
+// succeed, and a panic keeps the failing run's stack.
+func must(res *Result, err error) *Result {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // figure2Asm is the close_last listing of Figure 2 (gcc 4.5.4, -m32
 // -O2), transcribed into the substrate's syntax.
@@ -39,7 +52,7 @@ func inferFig2(t *testing.T) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Infer(prog, lattice.Default(), nil, DefaultOptions())
+	return must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
 }
 
 func proves(t *testing.T, cs *constraints.Set, lat *lattice.Lattice, l, r string) bool {
@@ -212,7 +225,7 @@ endproc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Infer(prog, lattice.Default(), nil, DefaultOptions())
+	res := must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
 
 	aOut := res.Procs["alloc_a"]
 	if aOut == nil {
@@ -266,7 +279,7 @@ endproc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Infer(prog, lattice.Default(), nil, DefaultOptions())
+	res := must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
 
 	// get0's own (unspecialized) formal sketch must not have the σ32@4
 	// field: instantiation, not subtyping, absorbs the extra

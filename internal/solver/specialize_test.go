@@ -47,7 +47,7 @@ endproc
 `
 	prog := asm.MustParse(src)
 	lat := lattice.Default()
-	res := Infer(prog, lat, nil, DefaultOptions())
+	res := must(InferContext(bg, prog, lat, nil, DefaultOptions()))
 
 	g := res.Procs["get_filename"]
 	// The unspecialized formal is polymorphic: only the σ32@4 field is
@@ -102,7 +102,7 @@ endproc
 	lat := lattice.Default()
 	opts := DefaultOptions()
 	opts.NoSpecialize = true
-	res := Infer(prog, lat, nil, opts)
+	res := must(InferContext(bg, prog, lat, nil, opts))
 	if len(res.Procs["get0"].SpecializedIns) != 0 {
 		t.Error("NoSpecialize must disable F.3")
 	}

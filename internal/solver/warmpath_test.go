@@ -88,11 +88,11 @@ func TestReanalyzeSchedulesOnlyDirtySCCs(t *testing.T) {
 				tc.wantProcs = len(cone)
 			}
 			eng := NewEngine(0, 0)
-			eng.Infer(asm.MustParse(src), lat, nil, DefaultOptions())
+			must(eng.InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
 			var c phaseCounter
 			opts := DefaultOptions()
 			opts.SchedHooks = c.hooks()
-			res := eng.Reanalyze(prog, lat, nil, opts)
+			res := must(eng.ReanalyzeContext(bg, prog, lat, nil, opts))
 
 			if int(res.RecomputedProcs) != tc.wantProcs {
 				t.Errorf("recomputed %d procedures, want %d", res.RecomputedProcs, tc.wantProcs)
@@ -103,7 +103,7 @@ func TestReanalyzeSchedulesOnlyDirtySCCs(t *testing.T) {
 			if got := c.n["F.2"]; got != len(prog.Procs) {
 				t.Errorf("F.2 items = %d, want one per procedure (%d)", got, len(prog.Procs))
 			}
-			if dumpAll(res) != dumpAll(Infer(asm.MustParse(tc.src), lat, nil, DefaultOptions())) {
+			if dumpAll(res) != dumpAll(must(InferContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))) {
 				t.Error("Reanalyze output differs from a from-scratch run")
 			}
 		})
@@ -118,7 +118,7 @@ func TestLoadSessionSharesSketches(t *testing.T) {
 	lat := lattice.Default()
 	opts := DefaultOptions()
 	eng := NewEngine(0, 0)
-	eng.Infer(asm.MustParse(corpus.Generate("session", 7, 1500).Source), lat, nil, opts)
+	must(eng.InferContext(bg, asm.MustParse(corpus.Generate("session", 7, 1500).Source), lat, nil, opts))
 	var saved bytes.Buffer
 	if err := eng.SaveSessionTo(&saved); err != nil {
 		t.Fatal(err)

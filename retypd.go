@@ -175,9 +175,13 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // For a service inferring an unbounded stream of distinct programs,
 // run batches in separate processes to bound table growth.
 func Infer(prog *Program, cfg *Config) *Result {
-	cfg, lat, opts := resolveConfig(cfg)
-	res := solver.Infer(prog, lat, cfg.Summaries, opts)
-	return &Result{inner: res, conv: ctype.NewConverter(lat)}
+	res, err := InferContext(context.Background(), prog, cfg)
+	if err != nil {
+		// Background is never cancelled; the error is an *AnalysisError
+		// or *LimitError, re-raised under the legacy contract.
+		panic(err)
+	}
+	return res
 }
 
 // InferContext is Infer under a context: cancellation and deadlines are

@@ -4,9 +4,11 @@
 // Every variable name the engine mints must go through
 // intern.NameBuilder (PR 3's invariant): the name grammar — base,
 // `!`-separated qualifiers, `@`-suffixed indices like `p!reg@3` or
-// `callee@p!5` — is load-bearing for the body-dedup rename surgery
-// (absint.Renamer classifies names by exactly these shapes), and
-// NameBuilder is what keeps warm-path minting allocation-free. A
+// `callee@p!5` — keeps minted variables out of the namespace of
+// procedure names (body dedup admits only procedures whose names avoid
+// `!` and `@`, so rerooting a scheme at one can never capture a minted
+// variable), and NameBuilder is what keeps warm-path minting
+// allocation-free. A
 // fmt.Sprintf or string concatenation that embeds `!` or `@` in those
 // packages is almost certainly minting a name outside the builder, so
 // the analyzer flags:
