@@ -31,11 +31,13 @@ var benchCorpus = func() *asm.Program {
 
 var benchBench = corpus.Generate("bench", 1234, 4000)
 
-// mustSolve runs the solver pipeline on prog, panicking on error: the
-// corpora here always analyze, and a panic keeps the failing run's
-// stack.
+// mustSolve runs the solver pipeline on prog on a fresh engine with
+// sessions off, panicking on error: the corpora here always analyze,
+// and a panic keeps the failing run's stack.
 func mustSolve(prog *asm.Program, lat *lattice.Lattice, opts solver.Options) *solver.Result {
-	res, err := solver.InferContext(context.Background(), prog, lat, nil, opts)
+	eng := solver.NewEngine()
+	eng.DisableSessionRecording()
+	res, err := eng.InferContext(context.Background(), prog, lat, nil, opts)
 	if err != nil {
 		panic(err)
 	}

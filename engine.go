@@ -11,11 +11,11 @@ import (
 )
 
 // Engine is a long-lived analysis session — the way a service or a
-// batch tool should run inference. Where Infer is one-shot (private
-// caches, nothing retained), an Engine owns the whole memo stack
-// (whole-body dedup runs per call; the scheme-simplification and
-// phase-2 shape memos are shared by every call) and the session state
-// incremental re-analysis diffs against:
+// batch tool should run inference, and the way every run reaches the
+// pipeline: the package-level Infer is a run on a throwaway Engine. An
+// Engine owns the whole memo stack (the body-class table and the
+// scheme-simplification and phase-2 shape memos, all shared by every
+// call) and the session state incremental re-analysis diffs against:
 //
 //	eng := retypd.NewEngine(nil)
 //	res := eng.Infer(prog, nil)          // cold: full pipeline
@@ -40,12 +40,9 @@ type Engine struct {
 	lastCfg *Config
 }
 
-// EngineOptions sizes a new engine; the zero value (and a nil pointer)
-// select defaults.
+// EngineOptions configures a new engine; the zero value (and a nil
+// pointer) select defaults.
 type EngineOptions struct {
-	// SchemeCacheCap and ShapeCacheCap bound the two shared memo layers
-	// in entries (≤ 0 selects the package defaults).
-	SchemeCacheCap, ShapeCacheCap int
 	// DisableSessions turns off session recording: the engine becomes a
 	// pure cache sharer — Infer skips the per-run session snapshot (a
 	// whole-program fingerprint pass plus retention of the previous
@@ -60,7 +57,7 @@ func NewEngine(opts *EngineOptions) *Engine {
 	if opts == nil {
 		opts = &EngineOptions{}
 	}
-	eng := solver.NewEngine(opts.SchemeCacheCap, opts.ShapeCacheCap)
+	eng := solver.NewEngine()
 	if opts.DisableSessions {
 		eng.DisableSessionRecording()
 	}
@@ -161,14 +158,14 @@ var ErrNoSession = solver.ErrNoSession
 // fresh engine, under cfg (nil selects the defaults; it must name the
 // same lattice and summaries the saved run used — a mismatch is not an
 // error here, but the first Reanalyze will fall back to a full Infer).
-// A process that loads the predecessor's session (and, optionally, its
-// cache file via Engine.LoadCacheData-carrying workflows) goes straight
-// to Reanalyze with zero warm-up: an unchanged program replays entirely,
+// A process that loads the predecessor's session (and, optionally,
+// merges its cache file with Engine.LoadCacheFile) goes straight to
+// Reanalyze with zero warm-up: an unchanged program replays entirely,
 // and an edited one recomputes only the edit's ancestor cone — in both
 // cases byte-identical to a from-scratch run.
 func LoadSession(path string, cfg *Config) (*Engine, error) {
 	cfg, _, _ = resolveConfig(cfg) // builds the lattice sketch blobs name
-	eng, _, err := solver.LoadSession(path, 0, 0)
+	eng, _, err := solver.LoadSession(path)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +209,7 @@ func (e *Engine) CacheLen() (schemeEntries, shapeEntries int) {
 // SaveCache writes entries it never hit back verbatim. An entry that
 // turns out undecodable is a miss, never an error.
 func LoadCache(path string) (*Engine, error) {
-	eng, _, err := solver.LoadCache(path, 0, 0)
+	eng, _, err := solver.LoadCache(path)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func Retypd() System { return RetypdEngine(nil) }
 // from the canonical keys, see the contracts on pgraph.SimplifyCache
 // and sketch.ShapeCache — and lets duplicate leaf procedures across a
 // whole benchmark suite be simplified and shape-solved once. A nil
-// engine gives each Run a private one-shot pipeline.
+// engine gives each Run a fresh engine of its own.
 func RetypdEngine(eng *solver.Engine) System {
 	return System{Name: "Retypd", Run: func(prog *asm.Program, lat *lattice.Lattice) *Outcome {
 		return outcomeFromSolver(infer(eng, prog, lat, solver.DefaultOptions()), lat)
@@ -86,17 +86,15 @@ func TIEStyleEngine(eng *solver.Engine) System {
 	}}
 }
 
-// infer runs the solver on eng, or one-shot when eng is nil. The
-// systems are scored on well-formed corpora with no deadline, so an
-// error is a bug: it panics, keeping the stack.
+// infer runs the solver on eng, or on a fresh engine with sessions off
+// when eng is nil. The systems are scored on well-formed corpora with
+// no deadline, so an error is a bug: it panics, keeping the stack.
 func infer(eng *solver.Engine, prog *asm.Program, lat *lattice.Lattice, opts solver.Options) *solver.Result {
-	var res *solver.Result
-	var err error
-	if eng != nil {
-		res, err = eng.InferContext(context.TODO(), prog, lat, nil, opts)
-	} else {
-		res, err = solver.InferContext(context.TODO(), prog, lat, nil, opts)
+	if eng == nil {
+		eng = solver.NewEngine()
+		eng.DisableSessionRecording()
 	}
+	res, err := eng.InferContext(context.TODO(), prog, lat, nil, opts)
 	if err != nil {
 		panic(err)
 	}

@@ -69,7 +69,7 @@ type SuiteScores struct {
 func RunSuite(cfg Config) *SuiteScores {
 	lat := lattice.Default()
 	benches := corpus.GenerateSuite(cfg.Suite)
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	// The suite never re-analyzes an edited program; the engine is a
 	// pure cache sharer here, so skip per-run session snapshots.
 	eng.DisableSessionRecording()
@@ -241,7 +241,11 @@ func measureScale(size int, seed int64, workers int) ScalingPoint {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		_, err := solver.InferContext(context.TODO(), prog, lat, nil, opts)
+		// A fresh engine per trial, so every trial pays for its memos
+		// from empty, as a one-shot run does.
+		eng := solver.NewEngine()
+		eng.DisableSessionRecording()
+		_, err := eng.InferContext(context.TODO(), prog, lat, nil, opts)
 		secs[i] = time.Since(start).Seconds()
 		runtime.ReadMemStats(&m1)
 		if err != nil {

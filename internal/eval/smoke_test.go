@@ -19,7 +19,7 @@ func TestCorpusSmoke(t *testing.T) {
 		t.Fatalf("parse: %v", err)
 	}
 	start := time.Now()
-	res, err := solver.InferContext(context.Background(), prog, lattice.Default(), nil, solver.DefaultOptions())
+	res, err := solver.NewEngine().InferContext(context.Background(), prog, lattice.Default(), nil, solver.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

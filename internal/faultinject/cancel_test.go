@@ -32,7 +32,7 @@ func TestPreCancelledReturnsPromptly(t *testing.T) {
 	opts.Workers = 8
 	opts.SchedHooks = &conc.SchedHooks{BeforeTask: func(string, string) { ran = true }}
 
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	res, err := eng.InferContext(ctx, prog, lat, nil, opts)
 
 	if !errors.Is(err, context.Canceled) {
@@ -66,7 +66,7 @@ func TestMidRunCancelLatency(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.Workers = workers
 	opts.SchedHooks = &conc.SchedHooks{BeforeTask: func(string, string) { full.Add(1) }}
-	if _, err := solver.NewEngine(0, 0).InferContext(context.Background(), prog, lat, nil, opts); err != nil {
+	if _, err := solver.NewEngine().InferContext(context.Background(), prog, lat, nil, opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestMidRunCancelLatency(t *testing.T) {
 		fire(phase, name)
 	}}
 
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	res, err := eng.InferContext(ctx, prog, lat, nil, opts)
 
 	if !plan.Fired() {
@@ -112,7 +112,7 @@ func TestAdmissionGuards(t *testing.T) {
 	leakcheck.Install(t)
 	lat := lattice.Default()
 	prog := sweepProg(t)
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 
 	opts := solver.DefaultOptions()
 	opts.MaxInstructions = 10

@@ -35,7 +35,7 @@ func dumps(res *solver.Result) string {
 // reference computes the never-faulted engine's output for prog.
 func reference(t testing.TB, prog *asm.Program, lat *lattice.Lattice) string {
 	t.Helper()
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	res, err := eng.InferContext(context.Background(), prog, lat, nil, solver.DefaultOptions())
 	if err != nil {
 		t.Fatalf("reference run failed: %v", err)
@@ -65,7 +65,7 @@ func TestFaultSweep(t *testing.T) {
 				name := phase + "/" + k.name + "/w" + string(rune('0'+workers))
 				t.Run(name, func(t *testing.T) {
 					leakcheck.Install(t)
-					eng := solver.NewEngine(0, 0)
+					eng := solver.NewEngine()
 
 					plan := &Plan{Phase: phase, N: 1, Kind: k.kind, Delay: 150 * time.Millisecond}
 					ctx := context.Background()
@@ -152,7 +152,7 @@ func TestFaultSweep(t *testing.T) {
 					if err := eng.SaveCacheTo(&buf); err != nil {
 						t.Fatalf("SaveCacheTo after fault: %v", err)
 					}
-					eng2 := solver.NewEngine(0, 0)
+					eng2 := solver.NewEngine()
 					if _, err := eng2.LoadCacheData(buf.Bytes()); err != nil {
 						t.Fatalf("cache written after fault does not load: %v", err)
 					}
@@ -171,7 +171,7 @@ func TestReanalyzeAfterFault(t *testing.T) {
 	prog := sweepProg(t)
 	want := reference(t, prog, lat)
 
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	if _, err := eng.InferContext(context.Background(), prog, lat, nil, solver.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCacheDecodeFault(t *testing.T) {
 	prog := sweepProg(t)
 	want := reference(t, prog, lat)
 
-	eng := solver.NewEngine(0, 0)
+	eng := solver.NewEngine()
 	if _, err := eng.InferContext(context.Background(), prog, lat, nil, solver.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCacheDecodeFault(t *testing.T) {
 		if bytes.Equal(bad, buf.Bytes()) {
 			t.Fatalf("seed %d: CorruptCopy changed nothing", seed)
 		}
-		fresh := solver.NewEngine(0, 0)
+		fresh := solver.NewEngine()
 		if _, err := fresh.LoadCacheData(bad); err == nil {
 			t.Fatalf("seed %d: corrupted cache loaded without error", seed)
 		}

@@ -270,7 +270,8 @@ const DefaultSimplifyCacheCap = 4096
 // maximize cross-program reuse of duplicate leaf procedures; the only
 // cost of sharing is LRU pressure on the capacity bound. Hit/miss
 // counters are cumulative across all sharers; callers wanting per-run
-// numbers snapshot Stats before and after (as solver.InferContext does).
+// numbers snapshot Stats before and after (as every solver.Engine run
+// does).
 //
 // The underlying store is sharded by Hash64 so concurrent workers on
 // different keys do not convoy on one mutex; the shard count is an

@@ -52,7 +52,7 @@ func (k shapeKey) hash64() uint64 {
 // sharers can only read them; deriving mutable views (Descend, Meet,
 // Join, WithRootVariance) copies. Hit/miss counters are cumulative
 // across all sharers; callers wanting per-run numbers snapshot Stats
-// before and after (as solver.InferContext does).
+// before and after (as every solver.Engine run does).
 type ShapeCache struct {
 	// Sharded by hash64 so concurrent F.2 workers on different keys do
 	// not convoy on one mutex; sharding never reaches a key or a wire

@@ -48,7 +48,7 @@ endproc
 	lat := lattice.Default()
 
 	// Polymorphic: mk_a's object has only the σ32@0 field.
-	poly := must(InferContext(bg, prog, lat, nil, DefaultOptions()))
+	poly := must(oneShot(bg, prog, lat, DefaultOptions()))
 	skA, ok := poly.Procs["mk_a"].OutSketch()
 	if !ok {
 		t.Fatal("mk_a has no out")
@@ -63,7 +63,7 @@ endproc
 	// fields (exactly the over-merging §2.2 warns about).
 	opts := DefaultOptions()
 	opts.Absint = absint.Options{MonomorphicCalls: true}
-	mono := must(InferContext(bg, prog, lat, nil, opts))
+	mono := must(oneShot(bg, prog, lat, opts))
 	global := constraints.NewSet()
 	for p := range mono.Procs {
 		global.InsertAll(generated(mono, p, opts.Absint))
@@ -120,7 +120,7 @@ endproc
 	lat := lattice.Default()
 
 	// Paper-faithful: the int parameter stays pointer-free.
-	res := must(InferContext(bg, prog, lat, nil, DefaultOptions()))
+	res := must(oneShot(bg, prog, lat, DefaultOptions()))
 	sk, ok := res.Procs["callee"].InSketch("stack0")
 	if !ok {
 		t.Fatal("no param sketch")
@@ -136,7 +136,7 @@ endproc
 	// zero variable now constrains both formals.
 	opts := DefaultOptions()
 	opts.Absint = absint.Options{NoConstantSuppression: true}
-	res2 := must(InferContext(bg, prog, lat, nil, opts))
+	res2 := must(oneShot(bg, prog, lat, opts))
 	text := generated(res2, "caller", opts.Absint).String()
 	if !contains(text, "caller!zero") {
 		t.Errorf("ablation should emit the shared zero variable:\n%s", text)
@@ -188,7 +188,7 @@ endproc
 `
 	prog := asm.MustParse(src)
 	lat := lattice.Default()
-	res := must(InferContext(bg, prog, lat, nil, DefaultOptions()))
+	res := must(oneShot(bg, prog, lat, DefaultOptions()))
 	// x (param 2 of f) must pick up close's int ∧ #FileDescriptor
 	// upper bound through the store/load round trip... only when p and
 	// q are related. Within f they are not related (sound!), so check

@@ -33,9 +33,9 @@ func TestEngineCrossProgramBodyServing(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		cold := must(InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
+		cold := must(oneShot(bg, asm.MustParse(srcB), lat, opts))
 
-		eng := NewEngine(0, 0)
+		eng := NewEngine()
 		first := must(eng.InferContext(bg, asm.MustParse(dedupProgSrc), lat, nil, opts))
 		if first.BodyDedupCrossHits != 0 {
 			t.Fatalf("workers=%d: first run on a fresh engine reports %d cross-program hits",
@@ -86,9 +86,9 @@ endproc
 `
 	opts := DefaultOptions()
 	opts.Workers = 1
-	cold := must(InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
+	cold := must(oneShot(bg, asm.MustParse(srcB), lat, opts))
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(srcA), lat, nil, opts))
 	warm := must(eng.InferContext(bg, asm.MustParse(srcB), lat, nil, opts))
 	if warm.BodyDedupCrossHits != 0 {

@@ -51,10 +51,9 @@ type dedupState struct {
 	lat     *lattice.Lattice
 	isConst func(constraints.Var) bool
 
-	// cache is the engine-scoped class table (run-private for one-shot
-	// Infer calls). Its mutex guards class structure; everything below
-	// is this run's private view, written only in the sequential
-	// classification pre-pass.
+	// cache is the engine's class table. Its mutex guards class
+	// structure; everything below is this run's private view, written
+	// only in the sequential classification pre-pass.
 	cache *bodyCache
 
 	// classOf assigns every fingerprinted procedure its class id — the

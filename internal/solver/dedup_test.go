@@ -164,7 +164,7 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 			off := DefaultOptions()
 			off.Workers = 1
 			off.NoBodyDedup = true
-			want := dumpWithRaw(must(InferContext(bg, prog, lat, nil, off)), off.Absint)
+			want := dumpWithRaw(must(oneShot(bg, prog, lat, off)), off.Absint)
 
 			cases := []struct {
 				name string
@@ -188,7 +188,7 @@ func TestBodyDedupGoldenOnOff(t *testing.T) {
 				t.Run(tc.name, func(t *testing.T) {
 					opts := DefaultOptions()
 					tc.mod(&opts)
-					res := must(InferContext(bg, prog, lat, nil, opts))
+					res := must(oneShot(bg, prog, lat, opts))
 					got := dumpWithRaw(res, opts.Absint)
 					if got != want {
 						t.Errorf("output diverged from dedup-off baseline (len %d vs %d)",
@@ -236,12 +236,12 @@ func TestBodyDedupMonomorphic(t *testing.T) {
 		off.Workers = workers
 		off.NoBodyDedup = true
 		off.Absint.MonomorphicCalls = true
-		want := dumpWithRaw(must(InferContext(bg, prog, lat, nil, off)), off.Absint)
+		want := dumpWithRaw(must(oneShot(bg, prog, lat, off)), off.Absint)
 
 		on := DefaultOptions()
 		on.Workers = workers
 		on.Absint.MonomorphicCalls = true
-		res := must(InferContext(bg, prog, lat, nil, on))
+		res := must(oneShot(bg, prog, lat, on))
 		if got := dumpWithRaw(res, on.Absint); got != want {
 			t.Errorf("workers=%d: monomorphic output diverged with dedup on (len %d vs %d)",
 				workers, len(got), len(want))
@@ -262,7 +262,7 @@ func TestBodyDedupStats(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.Workers = 1
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(oneShot(bg, prog, lat, opts))
 	// leaf_b, leaf_c, wrap_b, regvar_b are members.
 	if res.BodyDedupHits != 4 {
 		t.Errorf("hits = %d, want 4 (leaf_b, leaf_c, wrap_b, regvar_b)", res.BodyDedupHits)
@@ -279,7 +279,7 @@ func TestBodyDedupDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
-		got := dumpWithRaw(must(InferContext(bg, prog, lat, nil, opts)), opts.Absint)
+		got := dumpWithRaw(must(oneShot(bg, prog, lat, opts)), opts.Absint)
 		if i == 0 {
 			want = got
 			continue
@@ -296,7 +296,7 @@ func TestBodyDedupCorpusEffect(t *testing.T) {
 	b := corpus.Generate("dedup", 1234, 4000)
 	prog := asm.MustParse(b.Source)
 	opts := DefaultOptions()
-	res := must(InferContext(bg, prog, lattice.Default(), nil, opts))
+	res := must(oneShot(bg, prog, lattice.Default(), opts))
 	total := res.BodyDedupHits + res.BodyDedupMisses
 	t.Logf("body dedup: %d hits / %d misses over %d procs", res.BodyDedupHits, res.BodyDedupMisses, len(res.Procs))
 	if total == 0 {
@@ -321,7 +321,7 @@ func TestPublishedSchemesClosed(t *testing.T) {
 		checked := 0
 		for seed := int64(1); seed <= 4; seed++ {
 			prog := asm.MustParse(corpus.Generate("closed", seed, 1500).Source)
-			res := must(InferContext(bg, prog, lat, nil, opts))
+			res := must(oneShot(bg, prog, lat, opts))
 			for name, pr := range res.Procs {
 				sc := pr.Scheme
 				if sc.Root != constraints.Var(name) || !constraints.Closed(sc.Constraints, sc.Root, sc.Existential, defaultConst) {

@@ -18,14 +18,15 @@ import (
 	"retypd/internal/summaries"
 )
 
-// Engine is a long-lived analysis session: it owns the whole memo stack
-// (the scheme-simplification and shape caches shared by every run, plus
-// the per-run body-dedup layer the pipeline builds itself) and the
-// session state incremental re-analysis diffs against. Where a plain
-// Infer call is one-shot — private caches, nothing retained — an Engine
-// is the unit a service keeps warm: run after run shares the caches,
-// Reanalyze replays everything a small edit did not touch, and
-// SaveCache/LoadCache move the cache stack across process restarts.
+// Engine is a long-lived analysis session and the only way into the
+// pipeline: it owns the whole memo stack (the scheme-simplification and
+// shape memos and the body-class table, shared by every run) and the
+// session state incremental re-analysis diffs against. A one-shot
+// inference is a run on a fresh engine with session recording off,
+// which retains nothing once dropped. An engine a service keeps warm
+// shares its memos run after run, Reanalyze replays everything a small
+// edit did not touch, and SaveCache/LoadCache move the memo stack
+// across process restarts.
 //
 // Methods are safe for concurrent use. Concurrent Infer calls share the
 // caches freely (their keys are canonical; see the cache sharing
@@ -48,12 +49,12 @@ type Engine struct {
 	sess *session
 }
 
-// NewEngine returns an engine with empty caches bounded to the given
-// capacities (≤ 0 selects the package defaults).
-func NewEngine(schemeCap, shapeCap int) *Engine {
+// NewEngine returns an engine with empty caches of the package default
+// capacities (pgraph.DefaultSimplifyCacheCap, sketch.DefaultShapeCacheCap).
+func NewEngine() *Engine {
 	return &Engine{
-		schemes: pgraph.NewSimplifyCache(schemeCap),
-		shapes:  sketch.NewShapeCache(shapeCap),
+		schemes: pgraph.NewSimplifyCache(0),
+		shapes:  sketch.NewShapeCache(0),
 		bodies:  newBodyCache(),
 	}
 }
@@ -179,50 +180,23 @@ func optsCompatible(a, b Options) bool {
 		a.NoSpecialize == b.NoSpecialize
 }
 
-// withEngineCaches forces the engine's caches into opts (the No*
-// escape hatches keep working for baseline measurements).
-func (e *Engine) withEngineCaches(opts Options) Options {
-	opts.SchemeCache = e.schemes
-	opts.ShapeCache = e.shapes
-	opts.bodyCache = e.bodies
-	return opts
-}
-
 // InferContext runs the full pipeline with the engine's caches and
 // records the run as the engine's current session. Cancellation and
 // deadlines are observed cooperatively at task boundaries (an
 // already-cancelled ctx returns before any worker spawns), task panics
-// come back as
-// structured *AnalysisError, and oversized inputs as *LimitError. On
-// any error the engine publishes nothing — no session is recorded, the
-// shared caches hold only completed computes — so the engine stays
-// usable and its next run is byte-identical to one on a never-faulted
-// engine.
-func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (res *Result, err error) {
-	// Backstop containment: the pipeline converts task panics itself;
-	// anything that still unwinds to here (a fault in pre-pipeline
-	// analysis or in session recording) must not crash the process the
-	// engine serves.
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &AnalysisError{SCC: -1, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	opts = e.withEngineCaches(opts)
-	opts.ctx = ctx
-	res, art, err := infer(prog, lat, sums, opts, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.record(lat, sums, opts, res, art)
-	return res, nil
+// come back as structured *AnalysisError, and oversized inputs as
+// *LimitError. On any error the engine publishes nothing — no session
+// is recorded, the shared caches hold only completed computes — so the
+// engine stays usable and its next run is byte-identical to one on a
+// never-faulted engine.
+func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (*Result, error) {
+	return e.run(ctx, prog, lat, sums, opts, false)
 }
 
 // ReanalyzeContext infers prog incrementally against the engine's
 // previous session: procedures whose portable body fingerprints are
-// unchanged —
-// and whose transitive callees are all unchanged, and whose SCC
-// membership did not move — are replayed from the session verbatim;
+// unchanged — and whose transitive callees are all unchanged, and whose
+// SCC membership did not move — are replayed from the session verbatim;
 // only dirty SCCs and their condensed-call-graph ancestors run the
 // pipeline. The result is byte-identical to a from-scratch Infer of
 // prog (a golden guarantee the tests enforce on the corpus); the run
@@ -232,19 +206,48 @@ func (e *Engine) InferContext(ctx context.Context, prog *asm.Program, lat *latti
 // Errors follow InferContext's no-partial-state contract: on
 // cancellation, task panic, or admission rejection the previous session
 // stays current and nothing of the aborted run is published.
-func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (res *Result, err error) {
+func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (*Result, error) {
+	return e.run(ctx, prog, lat, sums, opts, true)
+}
+
+// run is every engine run: an incremental one first plans against the
+// session (a nil plan, for want of a compatible session, makes it a
+// full run), then the pipeline runs and the run is recorded.
+func (e *Engine) run(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options, incremental bool) (res *Result, err error) {
+	// Backstop containment: the pipeline converts task panics itself;
+	// anything that still unwinds to here (a fault in planning, in
+	// pre-pipeline analysis or in session recording) must not crash the
+	// process the engine serves.
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &AnalysisError{SCC: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
+	var inc *incrementalPlan
+	if incremental {
+		if inc, err = e.plan(ctx, prog, lat, sums, opts); err != nil {
+			return nil, err
+		}
+	}
+	res, art, err := e.infer(ctx, prog, lat, sums, opts, inc)
+	if err != nil {
+		return nil, err
+	}
+	e.record(lat, sums, opts, res, art)
+	return res, nil
+}
+
+// plan diffs prog against the engine's session into an incremental
+// plan, or returns nil when there is no session the run can diff
+// against (none recorded, or one under other inputs).
+func (e *Engine) plan(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (*incrementalPlan, error) {
 	e.mu.Lock()
 	sess := e.sess
 	e.mu.Unlock()
 	if sess == nil || !sessionable(opts) ||
 		sess.latSig != lat.Signature() || !optsCompatible(sess.opts, opts) ||
 		sess.sumsDig != sessionSumsDigest(sums) {
-		return e.InferContext(ctx, prog, lat, sums, opts)
+		return nil, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -252,8 +255,6 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	if err := admit(prog, opts); err != nil {
 		return nil, err
 	}
-	opts = e.withEngineCaches(opts)
-	opts.ctx = ctx
 
 	// Every per-procedure slice below is indexed like the pipeline's
 	// canonical order, which the plan hands on to the run.
@@ -261,6 +262,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	order, procIdx := pipelineOrder(cg)
 	n := len(order)
 	plan := &incrementalPlan{
+		cg:      cg,
 		order:   order,
 		procIdx: procIdx,
 		snaps:   make([]*procSnap, n),
@@ -333,11 +335,11 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 		infoList[c[0]] = infoList[c[1]].CloneForProgram(procs[c[0]])
 		fps[c[0]] = fps[c[1]]
 	}
-	infos := make(map[string]*cfg.ProcInfo, n)
+	plan.infoMap = make(map[string]*cfg.ProcInfo, n)
 	for i, p := range order {
-		infos[p] = infoList[i]
+		plan.infoMap[p] = infoList[i]
 	}
-	cfg.FinishHasOut(infos)
+	cfg.FinishHasOut(plan.infoMap)
 
 	// Seed dirtiness: new/changed bodies, calls whose target flipped
 	// between program-procedure and external (the fingerprint encodes
@@ -434,13 +436,7 @@ func (e *Engine) ReanalyzeContext(ctx context.Context, prog *asm.Program, lat *l
 	for _, snap := range removed {
 		plan.markObserved(snap.obs)
 	}
-
-	res, art, err := infer(prog, lat, sums, opts, infos, cg, plan)
-	if err != nil {
-		return nil, err
-	}
-	e.record(lat, sums, opts, res, art)
-	return res, nil
+	return plan, nil
 }
 
 // bodyHashSeed keys the in-memory body-grouping hash of Reanalyze. The
@@ -484,8 +480,6 @@ func (e *Engine) record(lat *lattice.Lattice, sums summaries.Table, opts Options
 	if e.noSessions || !sessionable(opts) {
 		return
 	}
-	// Sessions outlive the run; never retain its cancellation context.
-	opts.ctx = nil
 	var fps []*bodyfp.FP
 	var infos []*cfg.ProcInfo
 	if inc := art.inc; inc != nil {

@@ -88,14 +88,14 @@ func mutateProc(t *testing.T, src, proc string) string {
 // replay everything outside the mutated procedure's ancestor cone.
 func TestReanalyzeGolden(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	orig := asm.MustParse(engineProgSrc)
 	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 
 	mutSrc := mutateProc(t, engineProgSrc, "leaf_a")
 	mut := asm.MustParse(mutSrc)
 	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, DefaultOptions()))
-	scratch := must(InferContext(bg, mut, lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, mut, lat, DefaultOptions()))
 
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
@@ -114,11 +114,11 @@ func TestReanalyzeGolden(t *testing.T) {
 // every procedure and still matches scratch output.
 func TestReanalyzeNoChange(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	orig := asm.MustParse(engineProgSrc)
 	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
-	scratch := must(InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, asm.MustParse(engineProgSrc), lat, DefaultOptions()))
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("no-change reanalysis output differs from scratch")
 	}
@@ -143,7 +143,7 @@ proc lonely
 `, 1)
 
 	// Removed: session over (callsExtra + extra), then extra vanishes.
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	before := asm.MustParse(callsExtra + `
 proc extra
     mov eax, [ebp+8]
@@ -153,7 +153,7 @@ endproc
 	must(eng.InferContext(bg, before, lat, nil, DefaultOptions()))
 	after := asm.MustParse(callsExtra)
 	inc := must(eng.ReanalyzeContext(bg, after, lat, nil, DefaultOptions()))
-	scratch := must(InferContext(bg, asm.MustParse(callsExtra), lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, asm.MustParse(callsExtra), lat, DefaultOptions()))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("removal reanalysis differs from scratch")
 	}
@@ -162,10 +162,10 @@ endproc
 	}
 
 	// Added: session without extra, then it appears.
-	eng2 := NewEngine(0, 0)
+	eng2 := NewEngine()
 	must(eng2.InferContext(bg, asm.MustParse(callsExtra), lat, nil, DefaultOptions()))
 	inc2 := must(eng2.ReanalyzeContext(bg, asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions()))
-	scratch2 := must(InferContext(bg, asm.MustParse(callsExtra+withHelperTail()), lat, nil, DefaultOptions()))
+	scratch2 := must(oneShot(bg, asm.MustParse(callsExtra+withHelperTail()), lat, DefaultOptions()))
 	if dumpAll(inc2) != dumpAll(scratch2) {
 		t.Fatal("addition reanalysis differs from scratch")
 	}
@@ -201,10 +201,10 @@ endproc
 `
 	// pong stops calling ping: {ping,pong} splits into {ping}, {pong}.
 	split := strings.Replace(mutual, "    call ping\n", "    call abs\n", 1)
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(mutual), lat, nil, DefaultOptions()))
 	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(split), lat, nil, DefaultOptions()))
-	scratch := must(InferContext(bg, asm.MustParse(split), lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, asm.MustParse(split), lat, DefaultOptions()))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("SCC-split reanalysis differs from scratch")
 	}
@@ -224,10 +224,10 @@ func TestReanalyzeRegisterRename(t *testing.T) {
 		t.Fatal("rename did not apply")
 	}
 	opts := DefaultOptions()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, opts))
 	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(renamed), lat, nil, opts))
-	scratch := must(InferContext(bg, asm.MustParse(renamed), lat, nil, opts))
+	scratch := must(oneShot(bg, asm.MustParse(renamed), lat, opts))
 	if dumpAll(inc) != dumpAll(scratch) {
 		t.Fatal("register-renamed reanalysis differs from scratch")
 	}
@@ -248,10 +248,10 @@ func TestReanalyzeCorpusGolden(t *testing.T) {
 	mutSrc := mutateProc(t, b.Source, orig.Procs[len(orig.Procs)/2].Name)
 	mut := asm.MustParse(mutSrc)
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, DefaultOptions()))
-	scratch := must(InferContext(bg, mut, lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, mut, lat, DefaultOptions()))
 
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatal("incremental corpus output differs from scratch output")
@@ -306,7 +306,7 @@ func TestReanalyzeSpeedup(t *testing.T) {
 
 	wantSCCs, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
 	wantProcs := len(cone)
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, orig, lat, nil, opts))
 	var c phaseCounter
 	hooked := opts
@@ -321,7 +321,7 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	if int(inc.ReplayedProcs) != len(mut.Procs)-wantProcs {
 		t.Errorf("replayed %d procedures, want every other one (%d)", inc.ReplayedProcs, len(mut.Procs)-wantProcs)
 	}
-	if dumpAll(inc) != dumpAll(must(InferContext(bg, mut, lat, nil, opts))) {
+	if dumpAll(inc) != dumpAll(must(oneShot(bg, mut, lat, opts))) {
 		t.Error("incremental output differs from a from-scratch run")
 	}
 
@@ -331,7 +331,7 @@ func TestReanalyzeSpeedup(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		runtime.GC()
 		t0 := time.Now()
-		must(InferContext(bg, mut, lat, nil, opts))
+		must(oneShot(bg, mut, lat, opts))
 		cold = min(cold, time.Since(t0))
 
 		must(eng.InferContext(bg, orig, lat, nil, opts)) // re-prime the session (untimed)
@@ -351,14 +351,14 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	b := corpus.Generate("persist", 99, 2000)
 	prog := asm.MustParse(b.Source)
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	cold := must(eng.InferContext(bg, prog, lat, nil, DefaultOptions()))
 	path := filepath.Join(t.TempDir(), "retypd.cache")
 	if err := eng.SaveCache(path); err != nil {
 		t.Fatal(err)
 	}
 
-	eng2, st, err := LoadCache(path, 0, 0)
+	eng2, st, err := LoadCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 // checksum, not decode garbage.
 func TestEngineLoadRejectsCorruption(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	path := filepath.Join(t.TempDir(), "c.cache")
 	if err := eng.SaveCache(path); err != nil {
@@ -401,7 +401,7 @@ func TestEngineLoadRejectsCorruption(t *testing.T) {
 		t.Fatalf("implausibly small cache file: %d bytes", len(data))
 	}
 	data[len(data)/2] ^= 0x40
-	e2 := NewEngine(0, 0)
+	e2 := NewEngine()
 	if _, err := e2.LoadCacheData(data); err == nil {
 		t.Fatal("corrupted cache file loaded without error")
 	}
@@ -506,7 +506,7 @@ func checkRefinedOnly(t *testing.T, c *phaseCounter, want map[string]bool, prev,
 // previous *ProcResult.
 func TestReanalyzeRefinesMovedActuals(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	prev := must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	prevDump := dumpAll(prev)
 	before := eng.sess
@@ -516,7 +516,7 @@ func TestReanalyzeRefinesMovedActuals(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SchedHooks = c.hooks()
 	inc := must(eng.ReanalyzeContext(bg, asm.MustParse(src), lat, nil, opts))
-	scratch := must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
+	scratch := must(oneShot(bg, asm.MustParse(src), lat, DefaultOptions()))
 	if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 		t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
 	}
@@ -545,13 +545,13 @@ func TestReanalyzeDropsOrphanedSpecialization(t *testing.T) {
 		{"call removed", strings.Replace(engineProgSrc, "    call leaf_a\n", "    call abs\n", 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine(0, 0)
+			eng := NewEngine()
 			prev := must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 			if len(prev.Procs["leaf_a"].SpecializedIns) == 0 {
 				t.Fatal("leaf_a has no specialization to drop; the test exercises nothing")
 			}
 			inc := must(eng.ReanalyzeContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))
-			scratch := must(InferContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))
+			scratch := must(oneShot(bg, asm.MustParse(tc.src), lat, DefaultOptions()))
 			if got, want := dumpAll(inc), dumpAll(scratch); got != want {
 				t.Fatalf("incremental output differs from scratch:\n--- incremental ---\n%s\n--- scratch ---\n%s", got, want)
 			}
@@ -574,7 +574,7 @@ func TestReanalyzeRefinesOnlyF3Dirty(t *testing.T) {
 	src := mutateProc(t, corpus.Generate("engine", 77, 4000).Source, target)
 	mut := asm.MustParse(src)
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	prev := must(eng.InferContext(bg, orig, lat, nil, DefaultOptions()))
 	prevDump := dumpAll(prev)
 	before := eng.sess
@@ -582,7 +582,7 @@ func TestReanalyzeRefinesOnlyF3Dirty(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SchedHooks = c.hooks()
 	inc := must(eng.ReanalyzeContext(bg, mut, lat, nil, opts))
-	if dumpAll(inc) != dumpAll(must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))) {
+	if dumpAll(inc) != dumpAll(must(oneShot(bg, asm.MustParse(src), lat, DefaultOptions()))) {
 		t.Fatal("incremental output differs from a from-scratch run")
 	}
 	_, cone := ancestorSCCs(cfg.BuildCallGraph(mut), target)
@@ -630,7 +630,7 @@ func TestReanalyzeEditChain(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pick := func() *proc { return procs[r.Intn(len(procs))] }
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(source()), lat, nil, DefaultOptions()))
 	var loop *[2]*proc // the back edge the last SCC edit added
 	var passer *proc   // the procedure the last pointer-passing edit changed
@@ -685,7 +685,7 @@ func TestReanalyzeEditChain(t *testing.T) {
 			if err := eng.SaveSessionTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			eng = NewEngine(0, 0)
+			eng = NewEngine()
 			if _, err := eng.LoadSessionData(buf.Bytes()); err != nil {
 				t.Fatal(err)
 			}
@@ -693,7 +693,7 @@ func TestReanalyzeEditChain(t *testing.T) {
 		}
 		src := source()
 		inc := must(eng.ReanalyzeContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
-		if dumpAll(inc) != dumpAll(must(InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))) {
+		if dumpAll(inc) != dumpAll(must(oneShot(bg, asm.MustParse(src), lat, DefaultOptions()))) {
 			t.Fatalf("step %d (%s): incremental output differs from scratch", step, what)
 		}
 		if inc.ReplayedProcs == 0 {

@@ -28,7 +28,7 @@ func TestGenerateShardGoldenFixture(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 1
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	res := must(eng.InferContext(bg, prog, lattice.Default(), nil, opts))
 	f, err := os.Create("testdata/cache_pr5_golden.bin")
 	if err != nil {

@@ -29,7 +29,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 // a valid saved session plus corrupted-header variants.
 func fuzzSessionSeeds() [][]byte {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveSessionTo(&buf); err != nil {
@@ -61,7 +61,7 @@ func FuzzLoadSession(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eng := NewEngine(0, 0)
+		eng := NewEngine()
 		if _, err := eng.LoadSessionData(data); err == nil {
 			var buf bytes.Buffer
 			if err := eng.SaveSessionTo(&buf); err != nil {
@@ -75,7 +75,7 @@ func FuzzLoadSession(f *testing.F) {
 		// Checksum-sealed variant: exercises the record decoders.
 		sum := sha256.Sum256(data)
 		sealed := append(append([]byte(nil), data...), sum[:]...)
-		NewEngine(0, 0).LoadSessionData(sealed)
+		NewEngine().LoadSessionData(sealed)
 	})
 }
 
@@ -85,7 +85,7 @@ func FuzzLoadSession(f *testing.F) {
 // checked-in corpus.
 func fuzzCacheSeeds() [][]byte {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveCacheTo(&buf); err != nil {
@@ -128,7 +128,7 @@ func FuzzLoadCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A fresh engine per input: loads merge into live caches, and
 		// the fuzz loop must not accumulate state across inputs.
-		eng := NewEngine(0, 0)
+		eng := NewEngine()
 		if _, err := eng.LoadCacheData(data); err == nil {
 			decodeHeld(eng)
 			// A clean load must also round-trip: saving what was loaded
@@ -137,14 +137,14 @@ func FuzzLoadCache(f *testing.F) {
 			if err := eng.SaveCacheTo(&buf); err != nil {
 				t.Fatalf("save after clean load: %v", err)
 			}
-			if _, err := NewEngine(0, 0).LoadCacheData(buf.Bytes()); err != nil {
+			if _, err := NewEngine().LoadCacheData(buf.Bytes()); err != nil {
 				t.Fatalf("reload after clean load: %v", err)
 			}
 		}
 		// Checksum-sealed variant: exercises the interior decoders.
 		sum := sha256.Sum256(data)
 		sealed := append(append([]byte(nil), data...), sum[:]...)
-		eng2 := NewEngine(0, 0)
+		eng2 := NewEngine()
 		if _, err := eng2.LoadCacheData(sealed); err == nil {
 			decodeHeld(eng2)
 		}

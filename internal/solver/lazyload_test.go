@@ -31,7 +31,7 @@ func saveBytes(t *testing.T, e *Engine) []byte {
 // loadBytes loads data into a fresh engine, failing the test on error.
 func loadBytes(t *testing.T, data []byte) *Engine {
 	t.Helper()
-	e := NewEngine(0, 0)
+	e := NewEngine()
 	if _, err := e.LoadCacheData(data); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -74,7 +74,7 @@ func reseal(data []byte) {
 func fleetCacheBytes(t *testing.T, n, size int) ([]byte, []string) {
 	t.Helper()
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	var srcs []string
 	for _, b := range corpus.GenerateFleet("lazyfleet", 7, size, n, 0.5) {
 		must(eng.InferContext(bg, asm.MustParse(b.Source), lat, nil, DefaultOptions()))
@@ -87,7 +87,7 @@ func fleetCacheBytes(t *testing.T, n, size int) ([]byte, []string) {
 // and a run decodes only the blobs of the classes it hits.
 func TestLoadCacheDecodesEntriesOnFirstHit(t *testing.T) {
 	data, srcs := fleetCacheBytes(t, 4, 600)
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	st, err := eng.LoadCacheData(data)
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +166,10 @@ func flipToFail(blob []byte, i, lo, hi int) bool {
 func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 	lat := lattice.Default()
 	prog := corpus.Generate("lazycorrupt", 23, 1500).Source
-	eng0 := NewEngine(0, 0)
+	eng0 := NewEngine()
 	must(eng0.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
 	data := saveBytes(t, eng0)
-	want := dumpAll(must(InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions())))
+	want := dumpAll(must(oneShot(bg, asm.MustParse(prog), lat, DefaultOptions())))
 
 	// Each corruption reports whether it found a change that makes the
 	// blob fail to decode; part corruptions touch only that part.
@@ -221,7 +221,7 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 			}
 			reseal(bad)
 
-			eng := NewEngine(0, 0)
+			eng := NewEngine()
 			st, err := eng.LoadCacheData(bad)
 			if err != nil {
 				t.Fatalf("re-sealed cache with corrupt entries refused: %v", err)
@@ -262,9 +262,9 @@ func TestLoadCacheCorruptEntryIsMiss(t *testing.T) {
 func TestLoadCacheUnclosedEntryIsMiss(t *testing.T) {
 	lat := lattice.Default()
 	prog := corpus.Generate("lazyunclosed", 23, 1500).Source
-	eng0 := NewEngine(0, 0)
+	eng0 := NewEngine()
 	must(eng0.InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions()))
-	want := dumpAll(must(InferContext(bg, asm.MustParse(prog), lat, nil, DefaultOptions())))
+	want := dumpAll(must(oneShot(bg, asm.MustParse(prog), lat, DefaultOptions())))
 
 	// Every other carried entry gets a constraint on a foreign procedure
 	// variable, re-encoded; a loaded table saves its blobs verbatim.
@@ -362,10 +362,10 @@ func TestLoadedEntriesServeRenamedTwin(t *testing.T) {
 	lat := lattice.Default()
 	src := corpus.GenerateWithPrefix("lazyraw", "", 43, 1000).Source
 	twin := corpus.GenerateWithPrefix("lazyraw", "tw_", 43, 1000).Source
-	eng0 := NewEngine(0, 0)
+	eng0 := NewEngine()
 	must(eng0.InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
 	eng := loadBytes(t, saveBytes(t, eng0))
-	want := dumpAll(must(InferContext(bg, asm.MustParse(twin), lat, nil, DefaultOptions())))
+	want := dumpAll(must(oneShot(bg, asm.MustParse(twin), lat, DefaultOptions())))
 	for run := range 2 {
 		res := must(eng.InferContext(bg, asm.MustParse(twin), lat, nil, DefaultOptions()))
 		if res.BodyDedupCrossHits == 0 {
@@ -391,7 +391,7 @@ func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
 		corpus.GenerateWithPrefix("lazyrace", "ta_", 41, 1000).Source,
 		corpus.GenerateWithPrefix("lazyrace", "tb_", 41, 1000).Source,
 	}
-	eng0 := NewEngine(0, 0)
+	eng0 := NewEngine()
 	must(eng0.InferContext(bg, asm.MustParse(src), lat, nil, opts))
 	data := saveBytes(t, eng0)
 
@@ -425,7 +425,7 @@ func TestLoadedEntriesConcurrentServeAndSave(t *testing.T) {
 		if outs[i].BodyDedupCrossHits == 0 {
 			t.Errorf("twin %d served nothing from the loaded entries", i)
 		}
-		if dumpAll(outs[i]) != dumpAll(must(InferContext(bg, asm.MustParse(tw), lat, nil, opts))) {
+		if dumpAll(outs[i]) != dumpAll(must(oneShot(bg, asm.MustParse(tw), lat, opts))) {
 			t.Errorf("twin %d: output differs from a cold run", i)
 		}
 	}

@@ -42,7 +42,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	base.Workers = 1
 	base.NoSchemeCache = true
 	base.NoShapeCache = true
-	want := dump(must(InferContext(bg, prog, lat, nil, base)))
+	want := dump(must(oneShot(bg, prog, lat, base)))
 
 	cases := []struct {
 		name string
@@ -61,7 +61,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			tc.mod(&opts)
-			got := dump(must(InferContext(bg, prog, lat, nil, opts)))
+			got := dump(must(oneShot(bg, prog, lat, opts)))
 			if got != want {
 				t.Errorf("output diverged from sequential/no-cache baseline (len %d vs %d)",
 					len(got), len(want))
@@ -80,7 +80,7 @@ func TestInferDeterministic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
-		got := dump(must(InferContext(bg, prog, lat, nil, opts)))
+		got := dump(must(oneShot(bg, prog, lat, opts)))
 		if i == 0 {
 			want = got
 			continue
@@ -91,20 +91,22 @@ func TestInferDeterministic(t *testing.T) {
 	}
 }
 
-// TestSchemeCacheShared: a caller-provided cache is consulted across
+// TestSchemeCacheShared: an engine's scheme memo is consulted across
 // Infer calls — the second run over the same program must be nearly
-// all hits.
+// all hits. Body dedup is off: the engine's body-class table would
+// otherwise serve the whole second run before the memo is reached.
 func TestSchemeCacheShared(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := pgraph.NewSimplifyCache(0)
+	eng := NewEngine()
+	cache := eng.SchemeCache()
 
 	opts := DefaultOptions()
-	opts.SchemeCache = cache
+	opts.NoBodyDedup = true
 
-	r1 := must(InferContext(bg, prog, lat, nil, opts))
+	r1 := must(eng.InferContext(bg, prog, lat, nil, opts))
 	h1, m1 := cache.Stats()
-	r2 := must(InferContext(bg, prog, lat, nil, opts))
+	r2 := must(eng.InferContext(bg, prog, lat, nil, opts))
 	h2, _ := cache.Stats()
 
 	if h2 == h1 {
@@ -116,20 +118,19 @@ func TestSchemeCacheShared(t *testing.T) {
 }
 
 // TestNoSchemeCacheWinsOverProvidedCache: NoSchemeCache must disable
-// memoization even when a shared cache was handed in — uncached
-// baseline measurements depend on it.
+// memoization even though the engine running it holds a scheme memo —
+// uncached baseline measurements depend on it.
 func TestNoSchemeCacheWinsOverProvidedCache(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := pgraph.NewSimplifyCache(0)
+	eng := NewEngine()
 
 	opts := DefaultOptions()
-	opts.SchemeCache = cache
 	opts.NoSchemeCache = true
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(eng.InferContext(bg, prog, lat, nil, opts))
 
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Errorf("provided cache was consulted despite NoSchemeCache (hits=%d misses=%d)", h, m)
+	if h, m := eng.SchemeCache().Stats(); h != 0 || m != 0 {
+		t.Errorf("engine's memo was consulted despite NoSchemeCache (hits=%d misses=%d)", h, m)
 	}
 	if res.SchemeCacheHits != 0 || res.SchemeCacheMisses != 0 {
 		t.Errorf("result reports cache activity despite NoSchemeCache (%d/%d)",
@@ -139,7 +140,8 @@ func TestNoSchemeCacheWinsOverProvidedCache(t *testing.T) {
 
 // TestShapeCacheGoldenOnOff: full-output golden diff — DumpSchemes and
 // DumpSpecialized must be byte-identical with the shape memo on
-// (shared, so the second run is nearly all hits) and fully off.
+// (shared through one engine, so the second run is nearly all hits;
+// body dedup off so the memo is reached) and fully off.
 func TestShapeCacheGoldenOnOff(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
@@ -147,14 +149,14 @@ func TestShapeCacheGoldenOnOff(t *testing.T) {
 	off := DefaultOptions()
 	off.Workers = 2
 	off.NoShapeCache = true
-	want := dump(must(InferContext(bg, prog, lat, nil, off)))
+	want := dump(must(oneShot(bg, prog, lat, off)))
 
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine()
 	for run := 0; run < 2; run++ {
 		on := DefaultOptions()
 		on.Workers = 2
-		on.ShapeCache = cache
-		res := must(InferContext(bg, prog, lat, nil, on))
+		on.NoBodyDedup = true
+		res := must(eng.InferContext(bg, prog, lat, nil, on))
 		if got := dump(res); got != want {
 			t.Fatalf("run %d: shape cache changed output (len %d vs %d)", run, len(got), len(want))
 		}
@@ -164,19 +166,20 @@ func TestShapeCacheGoldenOnOff(t *testing.T) {
 	}
 }
 
-// TestShapeCacheDeterministic runs the pipeline 20× with one shared
-// shape memo across mixed worker counts: every run is served an
-// increasing mix of cached sketches and must stay byte-identical.
+// TestShapeCacheDeterministic runs the pipeline 20× on one engine
+// (body dedup off, so its shape memo is reached) across mixed worker
+// counts: every run is served an increasing mix of cached sketches and
+// must stay byte-identical.
 func TestShapeCacheDeterministic(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine()
 	var want string
 	for i := 0; i < 20; i++ {
 		opts := DefaultOptions()
 		opts.Workers = 1 + i%4
-		opts.ShapeCache = cache
-		got := dump(must(InferContext(bg, prog, lat, nil, opts)))
+		opts.NoBodyDedup = true
+		got := dump(must(eng.InferContext(bg, prog, lat, nil, opts)))
 		if i == 0 {
 			want = got
 			continue
@@ -187,19 +190,20 @@ func TestShapeCacheDeterministic(t *testing.T) {
 	}
 }
 
-// TestShapeCacheShared: a caller-provided shape memo is consulted
-// across Infer calls — the second run over the same program must be
-// nearly all hits, skipping Build+Saturate+shape inference.
+// TestShapeCacheShared: an engine's shape memo is consulted across
+// Infer calls — the second run over the same program (body dedup off,
+// so the body-class table does not serve it first) must be all hits,
+// skipping Build+Saturate+shape inference.
 func TestShapeCacheShared(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine()
 
 	opts := DefaultOptions()
-	opts.ShapeCache = cache
+	opts.NoBodyDedup = true
 
-	r1 := must(InferContext(bg, prog, lat, nil, opts))
-	r2 := must(InferContext(bg, prog, lat, nil, opts))
+	r1 := must(eng.InferContext(bg, prog, lat, nil, opts))
+	r2 := must(eng.InferContext(bg, prog, lat, nil, opts))
 	if r1.ShapeCacheHits+r1.ShapeCacheMisses == 0 {
 		t.Fatal("first run never consulted the shape cache")
 	}
@@ -218,11 +222,9 @@ func TestShapeCacheShared(t *testing.T) {
 func TestShapeCacheServedSketchImmutable(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
 
 	opts := DefaultOptions()
-	opts.ShapeCache = cache
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(oneShot(bg, prog, lat, opts))
 	if res.ShapeCacheHits == 0 {
 		t.Fatal("corpus produced no shape-cache hits; guard test needs served sketches")
 	}
@@ -254,23 +256,24 @@ func TestShapeCacheServedSketchImmutable(t *testing.T) {
 }
 
 // TestNoShapeCacheWinsOverProvidedCache: NoShapeCache must disable
-// memoization even when a shared cache was handed in.
+// memoization even though the engine running it holds a shape memo.
+// Session recording is off: it seals what it records.
 func TestNoShapeCacheWinsOverProvidedCache(t *testing.T) {
 	prog := parallelProg(t)
 	lat := lattice.Default()
-	cache := sketch.NewShapeCache(0)
+	eng := NewEngine()
+	eng.DisableSessionRecording()
 
 	opts := DefaultOptions()
-	opts.ShapeCache = cache
 	opts.NoShapeCache = true
 	// Body dedup also seals the sketches it shares across class
 	// members; turn it off so the sealed check below isolates the shape
 	// cache.
 	opts.NoBodyDedup = true
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(eng.InferContext(bg, prog, lat, nil, opts))
 
-	if h, m := cache.Stats(); h != 0 || m != 0 {
-		t.Errorf("provided cache was consulted despite NoShapeCache (hits=%d misses=%d)", h, m)
+	if h, m := eng.ShapeCache().Stats(); h != 0 || m != 0 {
+		t.Errorf("engine's memo was consulted despite NoShapeCache (hits=%d misses=%d)", h, m)
 	}
 	if res.ShapeCacheHits != 0 || res.ShapeCacheMisses != 0 {
 		t.Errorf("result reports cache activity despite NoShapeCache (%d/%d)",

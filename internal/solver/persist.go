@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"retypd/internal/pgraph"
 )
@@ -84,30 +85,70 @@ type CacheLoadStats struct {
 	BodyClasses, BodyEntries int
 }
 
-// SaveCacheTo writes the engine's cache stack to w.
-func (e *Engine) SaveCacheTo(w io.Writer) error {
+// envelope is the frame the cache file and the session file share:
+// magic ++ uvarint(version) ++ payload ++ sha256 of everything
+// preceding (32 bytes). what names the file in error messages.
+type envelope struct {
+	magic, what string
+	version     uint64
+}
+
+var (
+	cacheEnvelope   = envelope{cacheMagic, "cache", cacheFormatVersion}
+	sessionEnvelope = envelope{sessMagic, "session", sessionFormatVersion}
+)
+
+// begin returns a buffer holding the envelope's magic and version, for
+// the payload to be appended to.
+func (ev envelope) begin() []byte {
 	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, cacheMagic...)
-	buf = binary.AppendUvarint(buf, cacheFormatVersion)
-	buf = append(buf, pgraph.FPVersion)
-	buf = e.schemes.AppendWire(buf)
-	buf = e.shapes.AppendWire(buf)
-	buf = e.bodies.appendWire(buf)
+	buf = append(buf, ev.magic...)
+	return binary.AppendUvarint(buf, ev.version)
+}
+
+// seal appends buf's checksum and writes the whole file to w.
+func (ev envelope) seal(w io.Writer, buf []byte) error {
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
 	_, err := w.Write(buf)
 	return err
 }
 
-// SaveCache writes the engine's cache stack to path (atomically: a
-// temp file in the same directory is renamed over the target).
-func (e *Engine) SaveCache(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".retypd-cache-*")
+// open verifies data's length, checksum, magic and version before any
+// payload byte is decoded. It returns the checksummed bytes and the
+// offset at which the payload starts in them.
+func (ev envelope) open(data []byte) (body []byte, n int, err error) {
+	if len(data) < len(ev.magic)+sha256.Size {
+		return nil, 0, fmt.Errorf("solver: %s file too short", ev.what)
+	}
+	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
+	sum := sha256.Sum256(body)
+	if string(sum[:]) != string(tail) {
+		return nil, 0, fmt.Errorf("solver: %s file checksum mismatch (truncated or corrupted)", ev.what)
+	}
+	if string(body[:len(ev.magic)]) != ev.magic {
+		return nil, 0, fmt.Errorf("solver: not a retypd %s file", ev.what)
+	}
+	n = len(ev.magic)
+	ver, m := binary.Uvarint(body[n:])
+	if m <= 0 {
+		return nil, 0, fmt.Errorf("solver: truncated %s format version", ev.what)
+	}
+	if ver != ev.version {
+		return nil, 0, fmt.Errorf("solver: %s format version %d (this build reads %d)", ev.what, ver, ev.version)
+	}
+	return body, n + m, nil
+}
+
+// save writes a file atomically: write fills a temp file in path's
+// directory, which is then renamed over path.
+func (ev envelope) save(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dirOf(path), "."+strings.TrimSuffix(ev.magic, "\x00")+"-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := e.SaveCacheTo(tmp); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -125,6 +166,20 @@ func dirOf(path string) string {
 	}
 	return "."
 }
+
+// SaveCacheTo writes the engine's cache stack to w.
+func (e *Engine) SaveCacheTo(w io.Writer) error {
+	buf := cacheEnvelope.begin()
+	buf = append(buf, pgraph.FPVersion)
+	buf = e.schemes.AppendWire(buf)
+	buf = e.shapes.AppendWire(buf)
+	buf = e.bodies.appendWire(buf)
+	return cacheEnvelope.seal(w, buf)
+}
+
+// SaveCache writes the engine's cache stack to path (atomically: a
+// temp file in the same directory is renamed over the target).
+func (e *Engine) SaveCache(path string) error { return cacheEnvelope.save(path, e.SaveCacheTo) }
 
 // LoadCacheData decodes a cache blob produced by SaveCacheTo into e's
 // caches (merging with whatever the scheme and shape memos already
@@ -146,25 +201,9 @@ func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 	if !e.bodies.empty() {
 		return st, fmt.Errorf("solver: body-class section can only load into an empty table")
 	}
-	if len(data) < len(cacheMagic)+sha256.Size {
-		return st, fmt.Errorf("solver: cache file too short")
-	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	if string(sum[:]) != string(tail) {
-		return st, fmt.Errorf("solver: cache file checksum mismatch (truncated or corrupted)")
-	}
-	if string(body[:len(cacheMagic)]) != cacheMagic {
-		return st, fmt.Errorf("solver: not a retypd cache file")
-	}
-	n := len(cacheMagic)
-	ver, m := binary.Uvarint(body[n:])
-	if m <= 0 {
-		return st, fmt.Errorf("solver: truncated cache format version")
-	}
-	n += m
-	if ver != cacheFormatVersion {
-		return st, fmt.Errorf("solver: cache format version %d (this build reads %d)", ver, cacheFormatVersion)
+	body, n, err := cacheEnvelope.open(data)
+	if err != nil {
+		return st, err
 	}
 	if n >= len(body) || body[n] != pgraph.FPVersion {
 		return st, fmt.Errorf("solver: cache fingerprint version mismatch (this build computes v%d)", pgraph.FPVersion)
@@ -194,15 +233,14 @@ func (e *Engine) LoadCacheData(data []byte) (CacheLoadStats, error) {
 	return st, nil
 }
 
-// LoadCache reads a cache file into a fresh engine with the given cache
-// capacities (≤ 0 selects defaults). The engine keeps the file's bytes
-// (see LoadCacheData).
-func LoadCache(path string, schemeCap, shapeCap int) (*Engine, CacheLoadStats, error) {
+// LoadCache reads a cache file into a fresh engine. The engine keeps
+// the file's bytes (see LoadCacheData).
+func LoadCache(path string) (*Engine, CacheLoadStats, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, CacheLoadStats{}, err
 	}
-	e := NewEngine(schemeCap, shapeCap)
+	e := NewEngine()
 	st, err := e.LoadCacheData(data)
 	if err != nil {
 		return nil, st, err

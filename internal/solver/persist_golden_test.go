@@ -33,7 +33,7 @@ func goldenProg(t *testing.T) *asm.Program {
 // TestPR5GoldenLoadsIntoShardedCaches: the unsharded blob decodes, with
 // entries landing in both cache layers.
 func TestPR5GoldenLoadsIntoShardedCaches(t *testing.T) {
-	_, st, err := LoadCache(goldenBin, 0, 0)
+	_, st, err := LoadCache(goldenBin)
 	if err != nil {
 		t.Fatalf("pre-sharding golden no longer loads: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestPR5GoldenLoadsIntoShardedCaches(t *testing.T) {
 // entries back in the order the blob recorded.
 func TestPR5GoldenRoundTripBytes(t *testing.T) {
 	orig := readFile(t, goldenBin)
-	eng, _, err := LoadCache(goldenBin, 0, 0)
+	eng, _, err := LoadCache(goldenBin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPR5GoldenRoundTripBytes(t *testing.T) {
 // recorded dump byte-for-byte and never miss either cache — every
 // fingerprint in the program was recorded in the blob.
 func TestPR5GoldenWarmRun(t *testing.T) {
-	eng, _, err := LoadCache(goldenBin, 0, 0)
+	eng, _, err := LoadCache(goldenBin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPR5GoldenWarmRun(t *testing.T) {
 func TestPR5GoldenWarmPerturbed(t *testing.T) {
 	want := string(readFile(t, goldenDump))
 	for seed := int64(0); seed < 5; seed++ {
-		eng, _, err := LoadCache(goldenBin, 0, 0)
+		eng, _, err := LoadCache(goldenBin)
 		if err != nil {
 			t.Fatal(err)
 		}

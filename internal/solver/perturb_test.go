@@ -8,9 +8,7 @@ import (
 	"retypd/internal/asm"
 	"retypd/internal/corpus"
 	"retypd/internal/lattice"
-	"retypd/internal/pgraph"
 	"retypd/internal/schedtest"
-	"retypd/internal/sketch"
 )
 
 // The schedule-perturbation suite: the pipeline's determinism contract
@@ -118,15 +116,15 @@ func statsKey(res *Result) string {
 		res.BodyDedupHits, res.BodyDedupMisses)
 }
 
-// runPerturbed infers prog under one (seed, workers) perturbation with
-// private caches; seed < 0 runs unperturbed.
+// runPerturbed infers prog under one (seed, workers) perturbation on a
+// fresh engine; seed < 0 runs unperturbed.
 func runPerturbed(prog *asm.Program, lat *lattice.Lattice, seed int64, workers int) *Result {
 	opts := DefaultOptions()
 	opts.Workers = workers
 	if seed >= 0 {
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 	}
-	return must(InferContext(bg, prog, lat, nil, opts))
+	return must(oneShot(bg, prog, lat, opts))
 }
 
 // TestPerturbedDeterminism4000: seeded trials over the 4000-inst corpus
@@ -185,23 +183,28 @@ func TestPerturbedDeterminismHandwritten(t *testing.T) {
 }
 
 // TestPerturbedSharedCaches: perturbation on top of SHARED memo caches
-// (the engine configuration): later runs are served earlier runs'
-// entries under adversarial schedules and must still be byte-stable.
+// (one engine for every run): later runs are served earlier runs'
+// scheme and shape entries under adversarial schedules and must still
+// be byte-stable. Body dedup is off, or the engine's body-class table
+// would serve every later run before the memos are reached.
 func TestPerturbedSharedCaches(t *testing.T) {
 	prog := asm.MustParse(handwrittenProgSrc)
 	lat := lattice.Default()
 
 	want := dump(runPerturbed(prog, lat, -1, 1))
-	scheme := pgraph.NewSimplifyCache(0)
-	shape := sketch.NewShapeCache(0)
+	eng := NewEngine()
 	for seed := int64(0); seed < 10; seed++ {
 		opts := DefaultOptions()
 		opts.Workers = int(2 + seed%3)
-		opts.SchemeCache = scheme
-		opts.ShapeCache = shape
+		opts.NoBodyDedup = true
 		opts.SchedHooks = schedtest.New(seed).Hooks()
-		if got := dump(must(InferContext(bg, prog, lat, nil, opts))); got != want {
+		res := must(eng.InferContext(bg, prog, lat, nil, opts))
+		if got := dump(res); got != want {
 			t.Fatalf("seed %d: shared-cache perturbed run diverged", seed)
+		}
+		if seed > 0 && (res.SchemeCacheHits == 0 || res.ShapeCacheHits == 0) {
+			t.Fatalf("seed %d: shared memos served nothing (scheme %d, shape %d hits)",
+				seed, res.SchemeCacheHits, res.ShapeCacheHits)
 		}
 	}
 }
@@ -222,14 +225,14 @@ func TestPerturbedIncremental(t *testing.T) {
 		opts.Workers = int(1 + seed%4)
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 
-		eng := NewEngine(0, 0)
+		eng := NewEngine()
 		must(eng.InferContext(bg, prog1, lat, nil, opts))
 		inc := must(eng.ReanalyzeContext(bg, prog2, lat, nil, opts))
 		if inc.ReplayedProcs == 0 {
 			t.Fatalf("seed %d: edit dirtied everything; replay path not exercised", seed)
 		}
 
-		fresh := must(InferContext(bg, prog2, lat, nil, DefaultOptions()))
+		fresh := must(oneShot(bg, prog2, lat, DefaultOptions()))
 		if dump(inc) != dump(fresh) {
 			t.Fatalf("seed %d (workers=%d): perturbed incremental run diverged from from-scratch", seed, opts.Workers)
 		}

@@ -52,7 +52,7 @@ func TestCancelMidStealDrains(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Workers = 8
 		opts.SchedHooks = hooks
-		res, err := InferContext(ctx, prog, lat, nil, opts)
+		res, err := oneShot(ctx, prog, lat, opts)
 		cancel()
 
 		if err != nil && !errors.Is(err, context.Canceled) {
@@ -76,7 +76,7 @@ func TestPanicMidF2Contained(t *testing.T) {
 	prog := robustnessProg(t)
 	lat := lattice.Default()
 
-	ref, err := InferContext(context.Background(), prog, lat, nil, DefaultOptions())
+	ref, err := oneShot(context.Background(), prog, lat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPanicMidF2Contained(t *testing.T) {
 		opts.Workers = workers
 		opts.SchedHooks = plan.Hooks()
 
-		_, err := InferContext(context.Background(), prog, lat, nil, opts)
+		_, err := oneShot(context.Background(), prog, lat, opts)
 		if !plan.Fired() {
 			t.Fatalf("w=%d: plan never fired (fewer than 3 F.2 tasks?)", workers)
 		}
@@ -109,7 +109,7 @@ func TestPanicMidF2Contained(t *testing.T) {
 			t.Errorf("w=%d: error does not unwrap to the injected value", workers)
 		}
 
-		retry, err := InferContext(context.Background(), prog, lat, nil, DefaultOptions())
+		retry, err := oneShot(context.Background(), prog, lat, DefaultOptions())
 		if err != nil {
 			t.Fatalf("w=%d: retry after contained panic failed: %v", workers, err)
 		}

@@ -139,7 +139,7 @@ func runTraced(t *testing.T, prog *asm.Program, seed int64, workers int) (*cfg.C
 	if seed >= 0 {
 		opts.SchedHooks = schedtest.New(seed).Hooks()
 	}
-	res := must(InferContext(bg, prog, lattice.Default(), nil, opts))
+	res := must(oneShot(bg, prog, lattice.Default(), opts))
 	cg := cfg.BuildCallGraph(prog)
 	// Mirror pipeline.initIndex: procedure indices in the event stream
 	// follow the top-down SCC concatenation.
@@ -285,7 +285,7 @@ func TestReadinessPoolRunsSCCsConcurrently(t *testing.T) {
 		inHook--
 		mu.Unlock()
 	}}
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(oneShot(bg, prog, lat, opts))
 
 	if gaveUp {
 		t.Fatal("no second task started while the first was held")
@@ -295,7 +295,7 @@ func TestReadinessPoolRunsSCCsConcurrently(t *testing.T) {
 	}
 	seq := DefaultOptions()
 	seq.Workers = 1
-	if dumpAll(res) != dumpAll(must(InferContext(bg, prog, lat, nil, seq))) {
+	if dumpAll(res) != dumpAll(must(oneShot(bg, prog, lat, seq))) {
 		t.Error("output under the held schedule differs from the sequential run")
 	}
 }

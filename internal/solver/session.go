@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -82,9 +81,7 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 	if sess == nil {
 		return ErrNoSession
 	}
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, sessMagic...)
-	buf = binary.AppendUvarint(buf, sessionFormatVersion)
+	buf := sessionEnvelope.begin()
 	buf = appendCacheString(buf, sess.latSig)
 	var bits byte
 	if sess.opts.Absint.MonomorphicCalls {
@@ -136,10 +133,7 @@ func (e *Engine) SaveSessionTo(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(len(rec)))
 		buf = append(buf, rec...)
 	}
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	_, err := w.Write(buf)
-	return err
+	return sessionEnvelope.seal(w, buf)
 }
 
 // appendSCCKey appends the wire form of an SCC member list: one cache
@@ -164,21 +158,7 @@ func parseSCCKey(key string) []string {
 
 // SaveSession writes the engine's current session to path (atomically,
 // like SaveCache).
-func (e *Engine) SaveSession(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".retypd-sess-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := e.SaveSessionTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
+func (e *Engine) SaveSession(path string) error { return sessionEnvelope.save(path, e.SaveSessionTo) }
 
 // LoadSessionData decodes a session blob produced by SaveSessionTo and
 // installs it as the engine's current session, replacing any recorded
@@ -187,25 +167,9 @@ func (e *Engine) SaveSession(path string) error {
 // must already be built in this process (sketch blobs name it by
 // signature). Returns the number of procedure snapshots loaded.
 func (e *Engine) LoadSessionData(data []byte) (int, error) {
-	if len(data) < len(sessMagic)+sha256.Size {
-		return 0, fmt.Errorf("solver: session file too short")
-	}
-	body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	if string(sum[:]) != string(tail) {
-		return 0, fmt.Errorf("solver: session file checksum mismatch (truncated or corrupted)")
-	}
-	if string(body[:len(sessMagic)]) != sessMagic {
-		return 0, fmt.Errorf("solver: not a retypd session file")
-	}
-	n := len(sessMagic)
-	ver, m := binary.Uvarint(body[n:])
-	if m <= 0 {
-		return 0, fmt.Errorf("solver: truncated session format version")
-	}
-	n += m
-	if ver != sessionFormatVersion {
-		return 0, fmt.Errorf("solver: session format version %d (this build reads %d)", ver, sessionFormatVersion)
+	body, n, err := sessionEnvelope.open(data)
+	if err != nil {
+		return 0, err
 	}
 	latSig, m, err := decodeCacheString(body[n:], "lattice signature")
 	if err != nil {
@@ -418,16 +382,15 @@ func decodeSessionRecord(rec []byte, sketches sketchMemo, snap *procSnap) error 
 	return nil
 }
 
-// LoadSession reads a session file into an engine with fresh caches of
-// the given capacities (≤ 0 selects defaults); compose with LoadCache
-// data via the engine's LoadCacheData/LoadSessionData methods when both
-// files are present.
-func LoadSession(path string, schemeCap, shapeCap int) (*Engine, int, error) {
+// LoadSession reads a session file into an engine with fresh caches;
+// compose with cache data via the engine's LoadCacheData method when
+// both files are present.
+func LoadSession(path string) (*Engine, int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	e := NewEngine(schemeCap, shapeCap)
+	e := NewEngine()
 	procs, err := e.LoadSessionData(data)
 	if err != nil {
 		return nil, 0, err

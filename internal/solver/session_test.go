@@ -22,14 +22,14 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	prog := asm.MustParse(b.Source)
 	opts := DefaultOptions()
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	cold := must(eng.InferContext(bg, prog, lat, nil, opts))
 	path := filepath.Join(t.TempDir(), "retypd.session")
 	if err := eng.SaveSession(path); err != nil {
 		t.Fatal(err)
 	}
 
-	eng2, procs, err := LoadSession(path, 0, 0)
+	eng2, procs, err := LoadSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	// recomputes, and output matches a from-scratch run of the edit.
 	mutSrc := mutateProc(t, b.Source, prog.Procs[0].Name)
 	mut := asm.MustParse(mutSrc)
-	eng3, _, err := LoadSession(path, 0, 0)
+	eng3, _, err := LoadSession(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("edit after session load: replayed=%d recomputed=%d (want both nonzero)",
 			inc.ReplayedProcs, inc.RecomputedProcs)
 	}
-	if dumpAll(must(InferContext(bg, mut, lat, nil, opts))) != dumpAll(inc) {
+	if dumpAll(must(oneShot(bg, mut, lat, opts))) != dumpAll(inc) {
 		t.Error("session-incremental output differs from from-scratch output of the edit")
 	}
 }
@@ -67,13 +67,13 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 // session bytes exactly (the wire form is canonical).
 func TestSessionWireRoundTripBytes(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var first bytes.Buffer
 	if err := eng.SaveSessionTo(&first); err != nil {
 		t.Fatal(err)
 	}
-	eng2 := NewEngine(0, 0)
+	eng2 := NewEngine()
 	if _, err := eng2.LoadSessionData(first.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSessionWireRoundTripBytes(t *testing.T) {
 // TestSessionNoSession: saving before any run reports ErrNoSession.
 func TestSessionNoSession(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewEngine(0, 0).SaveSessionTo(&buf); err != ErrNoSession {
+	if err := NewEngine().SaveSessionTo(&buf); err != ErrNoSession {
 		t.Fatalf("save on a fresh engine: got %v, want ErrNoSession", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestSessionNoSession(t *testing.T) {
 // TestSessionLoadRejectsCorruption: a flipped byte fails the checksum.
 func TestSessionLoadRejectsCorruption(t *testing.T) {
 	lat := lattice.Default()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(engineProgSrc), lat, nil, DefaultOptions()))
 	var buf bytes.Buffer
 	if err := eng.SaveSessionTo(&buf); err != nil {
@@ -106,7 +106,7 @@ func TestSessionLoadRejectsCorruption(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0x40
-	if _, err := NewEngine(0, 0).LoadSessionData(data); err == nil {
+	if _, err := NewEngine().LoadSessionData(data); err == nil {
 		t.Fatal("corrupted session file loaded cleanly")
 	}
 }
@@ -125,7 +125,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	b := corpus.Generate("session", 7, 1500)
 	opts := DefaultOptions()
 
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	cold := must(eng.InferContext(bg, asm.MustParse(b.Source), lat, nil, opts))
 	var sess bytes.Buffer
 	if err := eng.SaveSessionTo(&sess); err != nil {
@@ -139,7 +139,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	hooked.schedTrace = func(schedEvent) { pooled.Add(1) }
 	prog := asm.MustParse(b.Source)
 	t0 := time.Now()
-	warmEng := NewEngine(0, 0)
+	warmEng := NewEngine()
 	if _, err := warmEng.LoadSessionData(sess.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSessionZeroWarmupSpeedup(t *testing.T) {
 	}
 
 	t0 = time.Now()
-	must(InferContext(bg, asm.MustParse(b.Source), lat, nil, opts))
+	must(oneShot(bg, asm.MustParse(b.Source), lat, opts))
 	coldTime := time.Since(t0)
 	t.Logf("cold=%v session-warm=%v speedup=%.1f×", coldTime, warmTime, float64(coldTime)/float64(warmTime))
 }
@@ -180,13 +180,13 @@ func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
 	lat := lattice.Default()
 	src := corpus.Generate("session", 7, 1500).Source
 	opts := DefaultOptions()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(src), lat, nil, opts))
 	var sess bytes.Buffer
 	if err := eng.SaveSessionTo(&sess); err != nil {
 		t.Fatal(err)
 	}
-	loaded := NewEngine(0, 0)
+	loaded := NewEngine()
 	if _, err := loaded.LoadSessionData(sess.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestLoadedSessionRefinesEveryProcedure(t *testing.T) {
 	if len(c.refined) != len(prog.Procs) {
 		t.Errorf("F.3 refined %d procedures after a load, want every one (%d)", len(c.refined), len(prog.Procs))
 	}
-	if dumpAll(first) != dumpAll(must(InferContext(bg, asm.MustParse(edited), lat, nil, opts))) {
+	if dumpAll(first) != dumpAll(must(oneShot(bg, asm.MustParse(edited), lat, opts))) {
 		t.Fatal("first Reanalyze after a load differs from a from-scratch run")
 	}
 

@@ -86,21 +86,14 @@ type Options struct {
 	// fully sequentially on the calling goroutine, values ≤ 0 use one
 	// worker per available CPU. Output is identical for every value.
 	Workers int
-	// SchemeCache memoizes scheme simplification across procedures
-	// with isomorphic constraint sets (and across Infer calls when the
-	// caller shares one cache). Nil gives this Infer call a private
-	// cache; set NoSchemeCache to disable memoization entirely.
-	SchemeCache *pgraph.SimplifyCache
-	// NoSchemeCache disables the simplification memo.
+	// NoSchemeCache bypasses the engine's scheme-simplification memo
+	// (Engine.SchemeCache): every SCC is simplified from its saturated
+	// graph, and the memo is neither read nor written.
 	NoSchemeCache bool
-	// ShapeCache memoizes phase-2 sketch solving (shape quotient +
-	// lattice decoration) across procedures with isomorphic constraint
-	// sets, keyed by the same canonical fingerprints as SchemeCache.
-	// On a hit F.2 skips Build+Saturate+NewBuilder+Decorate entirely
-	// and serves a sealed, immutable sketch. Nil gives this Infer call
-	// a private cache; set NoShapeCache to disable.
-	ShapeCache *sketch.ShapeCache
-	// NoShapeCache disables the shape memo.
+	// NoShapeCache bypasses the engine's phase-2 shape memo
+	// (Engine.ShapeCache), which otherwise serves a sealed, decorated
+	// sketch to every procedure whose constraint set is isomorphic to
+	// one already solved.
 	NoShapeCache bool
 	// NoBodyDedup disables the earliest memo layer: whole-procedure
 	// body deduplication ahead of abstract interpretation (see
@@ -126,15 +119,6 @@ type Options struct {
 	// stall chosen tasks; production callers leave it nil. Never part of
 	// output, never compared across runs.
 	SchedHooks *conc.SchedHooks
-	// ctx is the run's cancellation context, set by InferContext (nil
-	// means context.Background()). Unexported: cancellation enters
-	// through the context-aware entry points, never as an ad-hoc knob.
-	ctx context.Context
-	// bodyCache is the engine-scoped body-class table (nil for one-shot
-	// Infer calls, which get a run-private table). Unexported: the only
-	// way to share body classes across runs is through an Engine, whose
-	// persistence carries the table's invariants along.
-	bodyCache *bodyCache
 	// schedTrace observes readiness-scheduler events (see schedEvent).
 	// Test-only, like schedHooks: the property tests record the event
 	// stream to check exactly-once execution and dependency ordering.
@@ -238,21 +222,6 @@ type Result struct {
 	ReplayedProcs, RecomputedProcs uint64
 }
 
-// InferContext runs the full pipeline under ctx. Cancellation is
-// cooperative, observed at task boundaries: the pipeline stops handing
-// out tasks, drains its pool, and returns ctx.Err() — an
-// already-cancelled ctx returns before any worker is spawned. A task
-// panic is contained by the scheduler and returned as a structured
-// *AnalysisError; inputs exceeding Options.MaxInstructions /
-// MaxProcedures are rejected with a *LimitError. In every error case
-// nothing was published: shared caches hold only completed computes and
-// the returned Result is nil.
-func InferContext(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options) (*Result, error) {
-	opts.ctx = ctx
-	res, _, err := infer(prog, lat, sums, opts, nil, nil, nil)
-	return res, err
-}
-
 // admit applies the admission guards to prog. It runs before the
 // pipeline allocates anything, so a rejected program costs no goroutine
 // and touches no cache.
@@ -268,24 +237,20 @@ func admit(prog *asm.Program, opts Options) error {
 	return nil
 }
 
-// infer is the pipeline entry shared by InferContext and the engine.
-// infos and cg may be pre-computed (Reanalyze rebases unchanged per-procedure
-// analyses); inc, when non-nil, switches the run into incremental mode:
+// infer runs the pipeline on the engine's memos. inc, when non-nil,
+// switches the run into incremental mode: the plan carries the call
+// graph and the per-procedure analyses Reanalyze rebased, and
 // procedures outside inc.dirty are replayed from their session
 // snapshots instead of re-solved. The returned artifacts carry the
 // per-procedure outputs the engine records into its next session.
 //
 // On error the partially-built Result is discarded (nil, nil, err):
 // admission guards reject before any work, cancellation surfaces as
-// ctx.Err(), and a contained task panic as *AnalysisError. Shared
-// caches are safe in every case — they only ever store completed
+// ctx.Err(), and a contained task panic as *AnalysisError. The engine's
+// memos are safe in every case — they only ever store completed
 // computes, and their single-flight entries release waiters on panic.
-func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options,
-	infos map[string]*cfg.ProcInfo, cg *cfg.CallGraph, inc *incrementalPlan) (*Result, *runArtifacts, error) {
-	ctx := opts.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (e *Engine) infer(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts Options,
+	inc *incrementalPlan) (*Result, *runArtifacts, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -295,7 +260,11 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 	if sums == nil {
 		sums = summaries.Default()
 	}
-	if cg == nil {
+	var cg *cfg.CallGraph
+	var infos map[string]*cfg.ProcInfo
+	if inc != nil {
+		cg, infos = inc.cg, inc.infoMap
+	} else {
 		cg = cfg.BuildCallGraph(prog)
 	}
 	isConst := func(v constraints.Var) bool {
@@ -310,19 +279,15 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		SCCs:  cg.SCCs,
 	}
 
-	// NoSchemeCache/NoShapeCache win over a provided cache: callers
+	// NoSchemeCache/NoShapeCache bypass the engine's memos: callers
 	// measuring the uncached baseline must actually get one.
-	cache := opts.SchemeCache
-	if opts.NoSchemeCache {
-		cache = nil
-	} else if cache == nil {
-		cache = pgraph.NewSimplifyCache(0)
+	var cache *pgraph.SimplifyCache
+	if !opts.NoSchemeCache {
+		cache = e.schemes
 	}
-	shapeCache := opts.ShapeCache
-	if opts.NoShapeCache {
-		shapeCache = nil
-	} else if shapeCache == nil {
-		shapeCache = sketch.NewShapeCache(0)
+	var shapeCache *sketch.ShapeCache
+	if !opts.NoShapeCache {
+		shapeCache = e.shapes
 	}
 
 	// The run context is cancelled when any task faults, so a contained
@@ -349,11 +314,7 @@ func infer(prog *asm.Program, lat *lattice.Lattice, sums summaries.Table, opts O
 		// Body dedup is skipped in incremental mode: the dirty set is
 		// small by construction, and dedup classification needs whole
 		// levels. Output is identical either way (golden-tested).
-		bodies := opts.bodyCache
-		if bodies == nil {
-			bodies = newBodyCache() // one-shot Infer: run-private table
-		}
-		pl.dedup = newDedupState(lat, opts, sums, isConst, bodies)
+		pl.dedup = newDedupState(lat, opts, sums, isConst, e.bodies)
 	}
 	if inc != nil {
 		// Clean procedures replay their previous schemes; publish them
@@ -479,12 +440,14 @@ type runArtifacts struct {
 
 // incrementalPlan tells a pipeline run what changed since the engine's
 // previous session. Every slice is indexed like the pipeline's
-// canonical order (pipelineOrder), which the plan carries so the run
-// need not rebuild it. snaps holds each procedure's previous snapshot
-// (nil for new procedures); infos and fps its analyses and session
-// fingerprint in the new program, which the engine records; dirty
-// marks the procedures that run F.1 and F.2 again. The plan's
-// construction (Engine.ReanalyzeContext) guarantees the replay soundness
+// canonical order (pipelineOrder), which the plan carries with the call
+// graph it came from so the run need not rebuild either. snaps holds
+// each procedure's previous snapshot (nil for new procedures); infos
+// and fps its analyses and session fingerprint in the new program,
+// which the engine records (infoMap holds the same analyses by name,
+// HasOut fixpoint completed, for the run); dirty marks the procedures
+// that run F.1 and F.2 again. The plan's construction (Engine.plan)
+// guarantees the replay soundness
 // invariant: a clean procedure's transitive callees are all clean, so
 // its previous scheme, sketch and callsite observations are
 // byte-identical to what a from-scratch run would compute.
@@ -501,8 +464,10 @@ type runArtifacts struct {
 // dirty procedures' new observations once F.2 has produced them. Every
 // other procedure reuses its snapshot's *ProcResult itself.
 type incrementalPlan struct {
+	cg      *cfg.CallGraph
 	order   []string
 	procIdx map[string]int
+	infoMap map[string]*cfg.ProcInfo
 	snaps   []*procSnap
 	infos   []*cfg.ProcInfo
 	fps     []*bodyfp.FP

@@ -24,6 +24,14 @@ func must(res *Result, err error) *Result {
 	return res
 }
 
+// oneShot infers prog on a fresh engine with session recording off:
+// every memo starts empty and nothing outlives the run.
+func oneShot(ctx context.Context, prog *asm.Program, lat *lattice.Lattice, opts Options) (*Result, error) {
+	eng := NewEngine()
+	eng.DisableSessionRecording()
+	return eng.InferContext(ctx, prog, lat, nil, opts)
+}
+
 // figure2Asm is the close_last listing of Figure 2 (gcc 4.5.4, -m32
 // -O2), transcribed into the substrate's syntax.
 const figure2Asm = `
@@ -52,7 +60,7 @@ func inferFig2(t *testing.T) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
+	return must(oneShot(bg, prog, lattice.Default(), DefaultOptions()))
 }
 
 func proves(t *testing.T, cs *constraints.Set, lat *lattice.Lattice, l, r string) bool {
@@ -225,7 +233,7 @@ endproc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
+	res := must(oneShot(bg, prog, lattice.Default(), DefaultOptions()))
 
 	aOut := res.Procs["alloc_a"]
 	if aOut == nil {
@@ -279,7 +287,7 @@ endproc
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := must(InferContext(bg, prog, lattice.Default(), nil, DefaultOptions()))
+	res := must(oneShot(bg, prog, lattice.Default(), DefaultOptions()))
 
 	// get0's own (unspecialized) formal sketch must not have the σ32@4
 	// field: instantiation, not subtyping, absorbs the extra

@@ -47,7 +47,7 @@ endproc
 `
 	prog := asm.MustParse(src)
 	lat := lattice.Default()
-	res := must(InferContext(bg, prog, lat, nil, DefaultOptions()))
+	res := must(oneShot(bg, prog, lat, DefaultOptions()))
 
 	g := res.Procs["get_filename"]
 	// The unspecialized formal is polymorphic: only the σ32@4 field is
@@ -102,7 +102,7 @@ endproc
 	lat := lattice.Default()
 	opts := DefaultOptions()
 	opts.NoSpecialize = true
-	res := must(InferContext(bg, prog, lat, nil, opts))
+	res := must(oneShot(bg, prog, lat, opts))
 	if len(res.Procs["get0"].SpecializedIns) != 0 {
 		t.Error("NoSpecialize must disable F.3")
 	}

@@ -87,7 +87,7 @@ func TestReanalyzeSchedulesOnlyDirtySCCs(t *testing.T) {
 				tc.wantSCCs, cone = ancestorSCCs(cfg.BuildCallGraph(prog), edit)
 				tc.wantProcs = len(cone)
 			}
-			eng := NewEngine(0, 0)
+			eng := NewEngine()
 			must(eng.InferContext(bg, asm.MustParse(src), lat, nil, DefaultOptions()))
 			var c phaseCounter
 			opts := DefaultOptions()
@@ -103,7 +103,7 @@ func TestReanalyzeSchedulesOnlyDirtySCCs(t *testing.T) {
 			if got := c.n["F.2"]; got != len(prog.Procs) {
 				t.Errorf("F.2 items = %d, want one per procedure (%d)", got, len(prog.Procs))
 			}
-			if dumpAll(res) != dumpAll(must(InferContext(bg, asm.MustParse(tc.src), lat, nil, DefaultOptions()))) {
+			if dumpAll(res) != dumpAll(must(oneShot(bg, asm.MustParse(tc.src), lat, DefaultOptions()))) {
 				t.Error("Reanalyze output differs from a from-scratch run")
 			}
 		})
@@ -117,13 +117,13 @@ func TestLoadSessionSharesSketches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one stripe
 	lat := lattice.Default()
 	opts := DefaultOptions()
-	eng := NewEngine(0, 0)
+	eng := NewEngine()
 	must(eng.InferContext(bg, asm.MustParse(corpus.Generate("session", 7, 1500).Source), lat, nil, opts))
 	var saved bytes.Buffer
 	if err := eng.SaveSessionTo(&saved); err != nil {
 		t.Fatal(err)
 	}
-	loaded := NewEngine(0, 0)
+	loaded := NewEngine()
 	if _, err := loaded.LoadSessionData(saved.Bytes()); err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,10 @@ type Config struct {
 	// deterministic and byte-identical for every value.
 	Workers int
 	// NoSchemeCache disables simplification memoization entirely — the
-	// knob used to measure the uncached baseline. By default each Infer
-	// call memoizes scheme simplification across its procedures with
-	// isomorphic constraint sets; an Engine shares the memo across
-	// calls. The memo never changes inference output.
+	// knob used to measure the uncached baseline. By default a run
+	// memoizes scheme simplification across procedures with isomorphic
+	// constraint sets, in its engine's memo, which an Engine shares
+	// across calls. The memo never changes inference output.
 	NoSchemeCache bool
 	// NoShapeCache disables phase-2 shape memoization entirely, the
 	// sketch-solving counterpart of NoSchemeCache.
@@ -168,10 +168,12 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // re-inferring a program is free of new interning but the table grows
 // with the number of distinct names ever seen and is not reclaimed.
 // A procedure served by body deduplication interns only the names its
-// scheme mentions. Streaming 8000-instruction
-// binaries that share a renamed half through one Engine (the perfbench
-// fleet workload; 2-CPU Xeon, go1.24) grows the table by about 4700
-// symbols and 8200 derived type variables per program.
+// scheme mentions. Streaming 8000-instruction binaries that share a
+// renamed half through one Engine (the perfbench fleet stream, seed 2;
+// counted around Engine.InferContext alone, over the last 10 of 12
+// binaries) grows the table by about 2400 symbols and 4600 derived
+// type variables per program; the first binary, which meets the
+// library cold, adds about 4600 and 8100.
 // For a service inferring an unbounded stream of distinct programs,
 // run batches in separate processes to bound table growth.
 func Infer(prog *Program, cfg *Config) *Result {
@@ -192,13 +194,12 @@ func Infer(prog *Program, cfg *Config) *Result {
 // *AnalysisError; a program exceeding Config.MaxInstructions or
 // MaxProcedures is rejected with a *LimitError. On any error no cache
 // or session state of the failed run was published.
+//
+// It is Engine.InferContext on a fresh engine with sessions off: the
+// run's memos are shared across its own procedures only, and nothing
+// is retained once it returns.
 func InferContext(ctx context.Context, prog *Program, cfg *Config) (*Result, error) {
-	cfg, lat, opts := resolveConfig(cfg)
-	res, err := solver.InferContext(ctx, prog, lat, cfg.Summaries, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{inner: res, conv: ctype.NewConverter(lat)}, nil
+	return NewEngine(&EngineOptions{DisableSessions: true}).InferContext(ctx, prog, cfg)
 }
 
 // solverOptions maps the public Config knobs onto solver.Options.

@@ -1,6 +1,7 @@
 package retypd
 
 import (
+	"context"
 	"regexp"
 	"slices"
 	"strings"
@@ -171,6 +172,48 @@ func TestProcNamesSortedCopy(t *testing.T) {
 	names[0] = "clobbered"
 	if again := res.ProcNames(); again[0] == "clobbered" || !slices.IsSorted(again) {
 		t.Error("modifying ProcNames' result changed the next call's")
+	}
+}
+
+// TestPackageInferIsOneShot: the package-level InferContext is a run on
+// a throwaway engine, so nothing outlives it. A second call on the same
+// program starts from empty memos: it misses exactly as the first did
+// and is served nothing from an earlier run's body-class table. Both
+// equal an Engine's first run of the program byte for byte.
+func TestPackageInferIsOneShot(t *testing.T) {
+	prog := MustParseAsm(closeLastAsm + corpus.Generate("oneshot", 11, 1500).Source)
+	first, err := InferContext(context.Background(), prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := InferContext(context.Background(), prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaEngine, err := NewEngine(nil).InferContext(context.Background(), prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s1, s2 := first.CacheStats(), second.CacheStats()
+	if s1.SchemeMisses == 0 || s1.ShapeMisses == 0 || s1.BodyDedupHits == 0 {
+		t.Fatalf("program exercises too few memo layers for the test to bite: %+v", s1)
+	}
+	if s2.SchemeMisses != s1.SchemeMisses || s2.ShapeMisses != s1.ShapeMisses {
+		t.Errorf("second call missed scheme %d / shape %d times, first %d / %d: memos outlived the call",
+			s2.SchemeMisses, s2.ShapeMisses, s1.SchemeMisses, s1.ShapeMisses)
+	}
+	if s1.BodyDedupCrossHits != 0 || s2.BodyDedupCrossHits != 0 {
+		t.Errorf("body classes outlived a call: cross hits %d, %d", s1.BodyDedupCrossHits, s2.BodyDedupCrossHits)
+	}
+	if s3 := viaEngine.CacheStats(); s3 != s1 || s2 != s1 {
+		t.Errorf("cache stats differ: package %+v, %+v; engine %+v", s1, s2, s3)
+	}
+	// One Report per result: the display converter names typedefs
+	// statefully, so repeated Report calls on one Result differ.
+	want := viaEngine.Report()
+	if first.Report() != want || second.Report() != want {
+		t.Error("package-level InferContext output differs from an Engine run")
 	}
 }
 
