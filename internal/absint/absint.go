@@ -53,6 +53,15 @@ type Options struct {
 	// Covered, when non-nil, restricts generation to instructions for
 	// which it returns true (the REWARDS-style dynamic-trace baseline).
 	Covered func(proc string, idx int) bool
+	// SCCSlot, when positive, is the procedure's 1-based position in
+	// the strongly connected component being solved, and scopes every
+	// variable Generate mints (see gen.local) instead of the
+	// procedure's name. The names then recur across procedures and
+	// programs, so a long-lived engine interns them once. Zero scopes
+	// by the procedure's name, which keeps the generated sets of a
+	// whole program distinct when they are unioned. The solver sets it;
+	// the minted names reach no output.
+	SCCSlot int
 }
 
 // CallSite records one call instruction's instantiation.
@@ -60,8 +69,10 @@ type CallSite struct {
 	Caller string
 	Inst   int
 	Callee string
-	// Root is the (possibly callsite-tagged) base variable the callee
-	// interface was instantiated at.
+	// Root is the base variable the callee interface was instantiated
+	// at: the callsite variable (named by the caller's scope and the
+	// instruction index alone) for a polymorphic instantiation, the
+	// callee's own name for a same-SCC or monomorphic link.
 	Root constraints.Var
 	// Tail marks tail-call jumps.
 	Tail bool
@@ -120,12 +131,28 @@ type gen struct {
 	mergeVars   map[mergeKey]constraints.Var
 	frmEmitted  map[cfg.Loc]constraints.Var
 	regionVars  map[int32]constraints.Var
-	freshN      int
-	// nb composes every minted variable name (definition sites, merge
-	// intermediates, region/formal variables, callsite tags) through
-	// the symbol table instead of fmt — one of the ROADMAP-listed
-	// allocation hot spots.
+	// nb composes every minted variable name through the symbol table
+	// instead of fmt, so a name minted before costs no allocation.
 	nb intern.NameBuilder
+}
+
+// local begins a minted variable name with its scope:
+// ';' + (SCCSlot, or the procedure's name) + ';'. No parsed name can
+// hold ';' (asm.Parse cuts comments there before it tokenises), so a
+// minted name never equals a procedure's, and the closing ';' keeps a
+// scope that holds '!' or '@' from running into the local part. Local
+// parts are "eax@3"/"s-4@3" (definition sites), "rgn8", "frm!stack0",
+// "zero", "u3!ldbase" (merge intermediates), "@7" (the callsite
+// variable of instruction 7) and "@7!τ1" (variable τ1 of the callee
+// instantiated there).
+func (g *gen) local() *intern.NameBuilder {
+	g.nb.Begin(";")
+	if g.opts.SCCSlot > 0 {
+		g.nb.Int(g.opts.SCCSlot)
+	} else {
+		g.nb.Str(g.pi.Proc.Name)
+	}
+	return g.nb.Byte(';')
 }
 
 // scheme resolves a callee's published type scheme (nil-safe).
@@ -234,7 +261,7 @@ func (g *gen) regionVar(base int32) constraints.Var {
 	if v, ok := g.regionVars[base]; ok {
 		return v
 	}
-	v := constraints.Var(g.nb.Begin(g.pi.Proc.Name).Str("!rgn").Int(int(-base)).String())
+	v := constraints.Var(g.local().Str("rgn").Int(int(-base)).String())
 	g.regionVars[base] = v
 	return v
 }
@@ -245,7 +272,7 @@ func (g *gen) frmVar(l cfg.Loc) constraints.Var {
 	if v, ok := g.frmEmitted[l]; ok {
 		return v
 	}
-	v := constraints.Var(g.nb.Begin(g.pi.Proc.Name).Str("!frm!").Str(l.ParamName()).String())
+	v := constraints.Var(g.local().Str("frm!").Str(l.ParamName()).String())
 	g.frmEmitted[l] = v
 	g.cs.AddSub(
 		constraints.MakeDTV(g.f, label.In(l.ParamName())),
@@ -255,7 +282,7 @@ func (g *gen) frmVar(l cfg.Loc) constraints.Var {
 }
 
 func (g *gen) defVar(idx int, l cfg.Loc) constraints.Var {
-	nb := g.nb.Begin(g.pi.Proc.Name).Byte('!')
+	nb := g.local()
 	if l.IsSlot {
 		nb.Byte('s').Int(int(l.Slot))
 	} else {
@@ -264,16 +291,11 @@ func (g *gen) defVar(idx int, l cfg.Loc) constraints.Var {
 	return constraints.Var(nb.Byte('@').Int(idx).String())
 }
 
-func (g *gen) fresh(hint string) constraints.Var {
-	g.freshN++
-	return constraints.Var(g.nb.Begin(g.pi.Proc.Name).Byte('!').Str(hint).Int(g.freshN).String())
-}
-
 // zeroPseudo is the shared variable that models what happens WITHOUT
 // constant suppression: every zero constant flows through one variable,
 // falsely unifying all its uses (the §2.1 hazard, used by ablations).
 func (g *gen) zeroPseudo() constraints.Var {
-	return constraints.Var(g.nb.Begin(g.pi.Proc.Name).Str("!zero").String())
+	return constraints.Var(g.local().Str("zero").String())
 }
 
 // resolveDef maps one reaching definition to a value.

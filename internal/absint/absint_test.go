@@ -89,7 +89,7 @@ endproc
 	// shared pseudo variable — the §2.1 hazard made visible.
 	rs = generate(t, src, Options{NoConstantSuppression: true})
 	r = rs["caller"]
-	if !strings.Contains(r.Constraints.String(), "!zero") {
+	if !strings.Contains(r.Constraints.String(), ";caller;zero") {
 		t.Errorf("ablation should route zeros through the pseudo var:\n%s", r.Constraints)
 	}
 }
@@ -240,5 +240,83 @@ endproc
 	if got := len(rs["f"].Constraints.Subtypes()); got > 1 {
 		// Only the formal binding may remain.
 		t.Errorf("uncovered body generated %d constraints:\n%s", got, rs["f"].Constraints)
+	}
+}
+
+// TestSCCSlotScopesMintedNames: with an SCC slot, every variable
+// Generate mints is named by the slot and the instruction alone. Two
+// procedures at different slots share no minted base (an SCC's members
+// are solved as one set), and a procedure's minted bases do not depend
+// on its name (so they recur across procedures and programs).
+func TestSCCSlotScopesMintedNames(t *testing.T) {
+	body := `
+    sub esp, 8
+    mov eax, [esp+12]
+    mov ecx, [eax]
+    mov [esp], ecx
+    lea edx, [esp]
+    push edx
+    call h
+    add esp, 4
+    push 8
+    call malloc
+    add esp, 12
+    ret
+endproc
+`
+	prog := asm.MustParse("proc f" + body + "proc g" + body + `
+proc h
+    mov eax, [esp+4]
+    ret
+endproc
+`)
+	infos := cfg.AnalyzeProgram(prog)
+	lat := lattice.Default()
+	isConst := func(v constraints.Var) bool {
+		_, ok := lat.Elem(string(v))
+		return ok
+	}
+	h := &constraints.Scheme{
+		Root:        "h",
+		Constraints: constraints.MustParseSet("h.in_stack0 <= τ1\nτ1 <= h.out_eax"),
+		Existential: []constraints.Var{"τ1"},
+	}
+	schemes := func(name string) *constraints.Scheme {
+		if name == "h" {
+			return h
+		}
+		return nil
+	}
+	minted := func(p string, slot int) map[constraints.Var]bool {
+		r := Generate(infos[p], infos, schemes, summaries.Default(), isConst, Options{SCCSlot: slot})
+		out := map[constraints.Var]bool{}
+		for _, v := range r.Constraints.Vars() {
+			if v != constraints.Var(p) && !isConst(v) {
+				out[v] = true
+			}
+		}
+		return out
+	}
+	f1, g2, g1 := minted("f", 1), minted("g", 2), minted("g", 1)
+	for _, want := range []constraints.Var{";1;rgn8", ";1;@6", ";1;@6!τ1", ";1;@9"} {
+		if !f1[want] {
+			t.Errorf("f at slot 1 mints no %s: %v", want, f1)
+		}
+	}
+	for v := range f1 {
+		if g2[v] {
+			t.Errorf("procedures at slots 1 and 2 share the minted base %s", v)
+		}
+		if !g1[v] {
+			t.Errorf("f at slot 1 mints %s, its twin g at slot 1 does not", v)
+		}
+	}
+	if len(g1) != len(f1) {
+		t.Errorf("twins at slot 1 mint %d and %d bases", len(f1), len(g1))
+	}
+	for v := range g2 {
+		if !strings.HasPrefix(string(v), ";2;") {
+			t.Errorf("g at slot 2 mints %s outside its scope", v)
+		}
 	}
 }

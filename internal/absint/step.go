@@ -59,7 +59,7 @@ func (g *gen) mergeOne(idx int, key string, rv resolved) (constraints.Var, int32
 	mk := mergeKey{idx: idx, key: key}
 	u, ok := g.mergeVars[mk]
 	if !ok {
-		u = constraints.Var(g.nb.Begin(g.pi.Proc.Name).Str("!u").Int(idx).Byte('!').Str(key).String())
+		u = constraints.Var(g.local().Byte('u').Int(idx).Byte('!').Str(key).String())
 		g.mergeVars[mk] = u
 	}
 	for _, v := range rv.vals {
@@ -415,44 +415,41 @@ func (g *gen) stepBitArith(i int, in asm.Inst, st *state) {
 func (g *gen) emitCall(i int, st *state, tail bool) {
 	target := g.pi.Proc.Insts[i].Target
 	_, isProgramProc := g.infos[target]
-	tag := ""
+	// A polymorphic instantiation is named by its callsite alone: the
+	// callee's root becomes the callsite variable, so no name minted
+	// here mentions the callee.
+	var site constraints.Var
 	if !g.opts.MonomorphicCalls || (g.opts.PolymorphicExternals && !isProgramProc) {
-		tag = g.nb.Begin("@").Str(g.pi.Proc.Name).Byte('!').Int(i).String()
+		site = constraints.Var(g.local().Byte('@').Int(i).String())
 	}
 
 	var formalNames []string
 	var hasOut bool
-	var root constraints.Var
-	keep := func(v constraints.Var) constraints.Var {
-		if g.isConst(v) {
-			return v
-		}
-		return constraints.Var(string(v) + tag)
-	}
-
+	root := constraints.Var(target)
 	if ci, ok := g.infos[target]; ok {
 		for _, l := range ci.FormalIns {
 			formalNames = append(formalNames, l.ParamName())
 		}
 		hasOut = ci.HasOut
-		if sch := g.scheme(target); sch != nil && tag != "" {
-			root = constraints.Var(string(sch.Root) + tag)
-			g.cs.InsertAll(sch.Constraints.SubstituteBases(keep))
-		} else {
-			// Same-SCC (or monomorphic mode): link the callee's own
-			// interface variable directly.
-			root = constraints.Var(target)
+		if sch := g.scheme(target); sch != nil && site != "" {
+			root = site
+			g.instantiate(sch.Constraints, sch.Root, site)
 		}
-	} else if sum, ok := g.sums[target]; ok {
-		formalNames = append(formalNames, sum.FormalIns...)
-		hasOut = sum.HasOut
-		root = constraints.Var(target + tag)
-		g.cs.InsertAll(sum.Constraints.SubstituteBases(keep))
+		// Otherwise same-SCC (or monomorphic mode): link the callee's
+		// own interface variable directly.
 	} else {
-		// Unknown external: assume it returns something, takes nothing
-		// we can see.
-		hasOut = true
-		root = constraints.Var(target + tag)
+		if site != "" {
+			root = site
+		}
+		if sum, ok := g.sums[target]; ok {
+			formalNames = append(formalNames, sum.FormalIns...)
+			hasOut = sum.HasOut
+			g.instantiate(sum.Constraints, constraints.Var(target), site)
+		} else {
+			// Unknown external: assume it returns something, takes
+			// nothing we can see.
+			hasOut = true
+		}
 	}
 
 	// Actual-ins.
@@ -511,4 +508,24 @@ func (g *gen) emitCall(i int, st *state, tail bool) {
 	g.calls = append(g.calls, CallSite{
 		Caller: g.pi.Proc.Name, Inst: i, Callee: target, Root: root, Tail: tail,
 	})
+}
+
+// instantiate inserts a callee's scheme or summary constraints at one
+// callsite (Example A.4): calleeRoot becomes site and every other
+// non-constant variable v becomes site!v. An empty site links the
+// constraints as they are (monomorphic mode).
+func (g *gen) instantiate(cs *constraints.Set, calleeRoot, site constraints.Var) {
+	if site == "" {
+		g.cs.InsertAll(cs)
+		return
+	}
+	g.cs.InsertAll(cs.SubstituteBases(func(v constraints.Var) constraints.Var {
+		switch {
+		case g.isConst(v):
+			return v
+		case v == calleeRoot:
+			return site
+		}
+		return constraints.Var(g.nb.Begin(string(site)).Byte('!').Str(string(v)).String())
+	}))
 }

@@ -660,17 +660,3 @@ func Closed(cs *Set, root Var, existential []Var, isConst func(intern.Sym) bool)
 	}
 	return true
 }
-
-// Instantiate returns the scheme's constraints with every quantified
-// variable (root, existentials, and any other free variable) renamed by
-// suffixing tag, implementing callsite-tagged instantiation
-// (Example A.4). Variables for which keep returns true (e.g. globals and
-// type constants) are left untouched.
-func (sc *Scheme) Instantiate(tag string, keep func(Var) bool) *Set {
-	return sc.Constraints.SubstituteBases(func(v Var) Var {
-		if keep != nil && keep(v) {
-			return v
-		}
-		return Var(string(v) + tag)
-	})
-}

@@ -77,31 +77,6 @@ func TestVarianceOfDTV(t *testing.T) {
 	}
 }
 
-// TestSchemeInstantiate checks callsite tagging (Example A.4): bound
-// variables are renamed, lattice constants are kept.
-func TestSchemeInstantiate(t *testing.T) {
-	cs := MustParseSet(`
-		malloc.in_stack0 <= size_t
-		τ0 <= malloc.out_eax
-	`)
-	sch := &Scheme{Root: "malloc", Constraints: cs, Existential: []Var{"τ0"}}
-	inst := sch.Instantiate("@f!3", func(v Var) bool { return v == "size_t" })
-	text := inst.String()
-	if !strings.Contains(text, "malloc@f!3.in_stack0 <= size_t") {
-		t.Errorf("root not tagged or constant renamed:\n%s", text)
-	}
-	if !strings.Contains(text, "τ0@f!3") {
-		t.Errorf("existential not tagged:\n%s", text)
-	}
-	// Two instantiations must not share variables.
-	inst2 := sch.Instantiate("@f!9", func(v Var) bool { return v == "size_t" })
-	for _, c := range inst2.Subtypes() {
-		if strings.Contains(c.String(), "@f!3") {
-			t.Error("instantiations leaked into each other")
-		}
-	}
-}
-
 // TestSchemeString renders the ∀/∃ form.
 func TestSchemeString(t *testing.T) {
 	cs := MustParseSet("F.in_stack0 <= τ0")

@@ -17,9 +17,10 @@ import (
 
 // canonPrefix is the namespace of canonical variable names used by
 // fingerprinting. Program variables never contain it (procedure names
-// come from assembly symbols, internal solver variables use '!', '@'
-// and 'τ'); if one ever does, fingerprinting declines to canonicalize
-// rather than risk a collision in the cached (renamed) schemes.
+// come from assembly symbols, minted solver variables use ';', '!',
+// '@' and 'τ'); if one ever does, fingerprinting declines to
+// canonicalize rather than risk a collision in the cached (renamed)
+// schemes.
 const canonPrefix = "¤" // ¤
 
 // FP is a canonical fingerprint of a constraint set: a content hash

@@ -129,7 +129,7 @@ endproc
 		t.Errorf("suppressed constants must not link the parameters:\n%s", sk)
 	}
 
-	// Ablated: both actuals flow through caller!zero; the unification
+	// Ablated: both actuals flow through ;caller;zero; the unification
 	// baseline (which symmetrizes) then gives param0 the pointer
 	// capability of param1. Under subtyping the flow is still
 	// directional, so we check at the constraint level instead: the
@@ -138,7 +138,7 @@ endproc
 	opts.Absint = absint.Options{NoConstantSuppression: true}
 	res2 := must(oneShot(bg, prog, lat, opts))
 	text := generated(res2, "caller", opts.Absint).String()
-	if !contains(text, "caller!zero") {
+	if !contains(text, ";caller;zero") {
 		t.Errorf("ablation should emit the shared zero variable:\n%s", text)
 	}
 }

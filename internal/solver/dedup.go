@@ -128,11 +128,12 @@ func newDedupState(lat *lattice.Lattice, opts Options, sums summaries.Table, isC
 	}
 }
 
-// nameEligible rejects names that collide with the solver's reserved
-// variable namespaces ('!' locals, '@' callsite tags, '¤' canonical
-// fingerprint names, '.' DTV paths, 'τ' existentials): a member named
-// like a variable of its source's scheme could not be rerooted
-// unambiguously.
+// nameEligible rejects names that could collide with the solver's
+// variable namespaces: '¤' opens canonical fingerprint names, '.'
+// starts a DTV path, 'τ' an existential, and '!' and '@' separate the
+// parts of the variables absint mints (which all open with ';', a
+// character no parsed name holds). A member named like a variable of
+// its source's scheme could not be rerooted unambiguously.
 func nameEligible(s string) bool {
 	if s == "" || strings.ContainsAny(s, "@!.¤") || strings.HasPrefix(s, "τ") {
 		return false

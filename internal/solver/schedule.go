@@ -100,7 +100,11 @@ func (pl *pipeline) classifyBodies(cg *cfg.CallGraph) ([]*memberPlan, error) {
 					return
 				}
 				fps[i] = bodyfp.Compute(cg.Prog.ProcIndex[scc[0]], pl.dedup.conf, pl.dedup.calleeID)
-				pl.dedup.cache.prefetch(fps[i], pl.dedup.isConstSym)
+				// Compute declines (nil) a body that calls a name dedup
+				// cannot bind, such as a GCC-style memcpy.part.0.
+				if fps[i] != nil {
+					pl.dedup.cache.prefetch(fps[i], pl.dedup.isConstSym)
+				}
 			})
 		})
 		if err != nil {

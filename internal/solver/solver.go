@@ -762,21 +762,27 @@ func (pl *pipeline) inferSCC(scc []string) *sccResult {
 		gens:    make([]*absint.Result, len(scc)),
 		schemes: make([]*constraints.Scheme, len(scc)),
 	}
+	// Each member's minted variables are scoped by its slot in the SCC,
+	// not by its name: the slots keep the members' locals apart in the
+	// SCC union, and the names recur in every SCC of every program.
+	aopts := pl.opts.Absint
+	generate := func(j int) *absint.Result {
+		aopts.SCCSlot = j + 1
+		gr := absint.Generate(pl.infos[scc[j]], pl.infos, pl.schemeOf, pl.sums, pl.isConst, aopts)
+		out.gens[j] = gr
+		return gr
+	}
 	var sccCs *constraints.Set
 	if len(scc) == 1 {
 		// The SCC union of a single member IS its generated set (same
 		// contents, same order); reuse it instead of re-hashing every
 		// constraint into a copy. Generate returns a fresh set, and the
 		// pipeline only ever reads it afterwards.
-		gr := absint.Generate(pl.infos[scc[0]], pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint)
-		out.gens[0] = gr
-		sccCs = gr.Constraints
+		sccCs = generate(0).Constraints
 	} else {
 		sccCs = constraints.NewSet()
-		for j, p := range scc {
-			gr := absint.Generate(pl.infos[p], pl.infos, pl.schemeOf, pl.sums, pl.isConst, pl.opts.Absint)
-			out.gens[j] = gr
-			sccCs.InsertAll(gr.Constraints)
+		for j := range scc {
+			sccCs.InsertAll(generate(j).Constraints)
 		}
 	}
 

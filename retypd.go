@@ -167,13 +167,15 @@ func NewLatticeBuilder() *LatticeBuilder { return lattice.DefaultBuilder() }
 // into a process-wide append-only symbol table (internal/intern), so
 // re-inferring a program is free of new interning but the table grows
 // with the number of distinct names ever seen and is not reclaimed.
-// A procedure served by body deduplication interns only the names its
-// scheme mentions. Streaming 8000-instruction binaries that share a
+// The variables the constraint generator mints are named by SCC slot
+// and callsite, not by procedure, so they recur across programs: what
+// keeps growing is procedure names and the derived type variables
+// built on them. Streaming 8000-instruction binaries that share a
 // renamed half through one Engine (the perfbench fleet stream, seed 2;
 // counted around Engine.InferContext alone, over the last 10 of 12
-// binaries) grows the table by about 2400 symbols and 4600 derived
-// type variables per program; the first binary, which meets the
-// library cold, adds about 4600 and 8100.
+// binaries) grows the table by about 960 symbols — fewer than the
+// binary's roughly 1000 procedure names — and 2500 derived type
+// variables per program; the first binary adds about 1150 and 3250.
 // For a service inferring an unbounded stream of distinct programs,
 // run batches in separate processes to bound table growth.
 func Infer(prog *Program, cfg *Config) *Result {

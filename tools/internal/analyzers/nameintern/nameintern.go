@@ -2,21 +2,24 @@
 // strings in internal/absint and internal/solver.
 //
 // Every variable name the engine mints must go through
-// intern.NameBuilder (PR 3's invariant): the name grammar — base,
-// `!`-separated qualifiers, `@`-suffixed indices like `p!reg@3` or
-// `callee@p!5` — keeps minted variables out of the namespace of
-// procedure names (body dedup admits only procedures whose names avoid
-// `!` and `@`, so rerooting a scheme at one can never capture a minted
-// variable), and NameBuilder is what keeps warm-path minting
-// allocation-free. A
-// fmt.Sprintf or string concatenation that embeds `!` or `@` in those
-// packages is almost certainly minting a name outside the builder, so
-// the analyzer flags:
+// intern.NameBuilder (PR 3's invariant). The name grammar opens every
+// minted variable with a scope — `;`, the procedure's slot in the SCC
+// being solved (or, outside the solver, its name), `;` — followed by a
+// local part: `;1;eax@3` for a definition site, `;1;frm!stack0` for a
+// formal, `;1;@5` for the callee instantiated at instruction 5 and
+// `;1;@5!τ1` for that callee's existential τ1. No parsed procedure name
+// can hold `;` (asm.Parse cuts comments there), so a minted variable
+// never equals a procedure's name, and the scope names no procedure, so
+// the vocabulary recurs across programs instead of growing the intern
+// table with each one. NameBuilder is what keeps warm-path minting
+// allocation-free. A fmt.Sprintf or string concatenation that embeds
+// `;`, `!` or `@` in those packages is almost certainly minting a name
+// outside the builder, so the analyzer flags:
 //
 //   - fmt.Sprintf / fmt.Appendf calls whose format literal contains
-//     `!` or `@`;
+//     `;`, `!` or `@`;
 //   - string concatenation (`+`, `+=`) with a literal operand
-//     containing `!` or `@`.
+//     containing `;`, `!` or `@`.
 //
 // Strings that merely look name-shaped (error text, log messages)
 // carry a //retypd:name-ok <justification> comment. Test files are
@@ -35,7 +38,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "nameintern",
-	Doc: "flags fmt.Sprintf/concat minting of variable-name-shaped strings ('!'/'@') " +
+	Doc: "flags fmt.Sprintf/concat minting of variable-name-shaped strings (';'/'!'/'@') " +
 		"in internal/absint and internal/solver; names must come from intern.NameBuilder; " +
 		"suppress with //retypd:name-ok <justification>",
 	Run: run,
@@ -86,7 +89,7 @@ func nameShaped(lit *ast.BasicLit) bool {
 	if err != nil {
 		return false
 	}
-	return strings.ContainsAny(s, "!@")
+	return strings.ContainsAny(s, ";!@")
 }
 
 func checkSprintf(pass *analysis.Pass, call *ast.CallExpr) {

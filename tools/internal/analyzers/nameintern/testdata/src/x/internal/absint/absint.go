@@ -12,6 +12,14 @@ func flagCallsiteTag(callee, caller string, inst int) string {
 	return fmt.Sprintf("%s@%s!%d", callee, caller, inst) // want `minted with fmt.Sprintf`
 }
 
+func flagScope(slot int) string {
+	return fmt.Sprintf(";%d;", slot) // want `minted with fmt.Sprintf`
+}
+
+func flagScopeConcat(p string) string {
+	return ";" + p // want `built by concatenation`
+}
+
 func flagConcat(p, reg string) string {
 	return p + "!" + reg // want `built by concatenation`
 }
